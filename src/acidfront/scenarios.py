@@ -537,10 +537,16 @@ def run_config(cfg: ScenarioConfig, extra_observers=()) -> RunResult:
 
 
 def summarize(result: RunResult) -> RunSummary:
+    """Digest of a run.  A front that has left the domain cannot be
+    classified: the classification is then none and a warning says why."""
     cfg = result.config
     classification = None
+    run_warnings = result.warnings
     if cfg.classification:
-        classification = str(classify_invasion(result.final_state, cfg.params.d))
+        try:
+            classification = str(classify_invasion(result.final_state, cfg.params.d))
+        except ValueError:
+            run_warnings += ("no tumour front left inside the domain; not classified",)
     gap = detect_gap(result.final_state) if cfg.gap else None
     tail_mean = tail_ptp = None
     if result.speed_series is not None and len(result.speed_series) > 0:
@@ -552,7 +558,7 @@ def summarize(result: RunResult) -> RunSummary:
         tail_peak_to_peak=tail_ptp,
         steps=result.steps,
         wall_time_s=result.wall_time_s,
-        warnings=result.warnings,
+        warnings=run_warnings,
     )
 
 

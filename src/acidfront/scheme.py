@@ -13,7 +13,13 @@ healthy field, so one step runs u -> v -> w.  Both implicit matrices are
 tridiagonal and strictly diagonally dominant (the dominance gap is exactly
 the 1 on the identity), so the direct solves are safe whenever the interface
 coefficients stay nonnegative.
-"""
+
+The acid matrix depends only on A, dt and the mesh, which a run holds fixed,
+so it is factored once per run (LAPACK gttrf) and each step solves with the
+factors (gttrs).  The tumour matrix changes with u and is solved each step
+with LAPACK gtsv.  ``run`` is the hot loop: it steps plain arrays and wraps
+each new, already checked set of fields in a SimulationState without copying
+or re-validating it."""
 
 from __future__ import annotations
 
@@ -22,7 +28,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from .core import ModelParameters, reaction_u, reaction_v, reaction_w
 from .errors import InstabilityError, StabilityWarning
@@ -39,12 +45,11 @@ class SchemeOptions:
     The acid coefficient may be averaged arithmetically (width-weighted) or
     harmonically at cell interfaces.  The tumour coefficient (1 - u) is
     degenerate (it vanishes where u = 1), which rules the harmonic mean out
-    for that equation, so its averaging is fixed to arithmetic.
+    for that equation, so it is always averaged arithmetically.
     """
 
     dt: float
     interface_average_w: str = ARITHMETIC
-    interface_average_v: str = ARITHMETIC
 
     def __post_init__(self):
         if not self.dt > 0.0:
@@ -53,11 +58,6 @@ class SchemeOptions:
             raise ValueError(
                 f"unknown interface average {self.interface_average_w!r} "
                 f"(choose {ARITHMETIC!r} or {HARMONIC!r})"
-            )
-        if self.interface_average_v != ARITHMETIC:
-            raise ValueError(
-                "tumour diffusion must use arithmetic interface averaging; "
-                "its coefficient (1 - u) may vanish"
             )
 
 
@@ -88,6 +88,18 @@ class SimulationState:
                 raise ValueError(f"field {name} contains non-finite values")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @classmethod
+    def _trusted(cls, mesh: Mesh, time: float, u: np.ndarray, v: np.ndarray, w: np.ndarray):
+        """State from fresh float arrays of the right length already checked
+        finite; freezes them in place instead of copying and re-validating."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "mesh", mesh)
+        object.__setattr__(state, "time", time)
+        for name, arr in (("u", u), ("v", v), ("w", w)):
+            arr.setflags(write=False)
+            object.__setattr__(state, name, arr)
+        return state
 
 
 @dataclass(frozen=True)
@@ -160,17 +172,25 @@ def diffusion_operator(kappa: np.ndarray, mesh: Mesh):
     return sub, diag, super_
 
 
-def _assemble_backward_euler(
-    kappa: np.ndarray, gamma: float, rhs: np.ndarray, mesh: Mesh
-) -> TridiagonalSystem:
-    """System (I - gamma*L) x = rhs for the diffusion operator above."""
+def _backward_euler_bands(kappa: np.ndarray, gamma: float, mesh: Mesh):
+    """Bands (sub, diag, super) of I - gamma*L for the diffusion operator above."""
     sub, diag, super_ = diffusion_operator(kappa, mesh)
-    return TridiagonalSystem(
-        sub=-gamma * sub,
-        diag=1.0 - gamma * diag,
-        super=-gamma * super_,
-        rhs=np.asarray(rhs, dtype=float),
-    )
+    return -gamma * sub, 1.0 - gamma * diag, -gamma * super_
+
+
+def _tumour_bands(u_next: np.ndarray, gamma: float, mesh: Mesh):
+    """Bands of I - gamma*L(1 - u_next), arithmetic interface averages.
+
+    A negative interface coefficient means u exceeded 1 upstream, which
+    would break the dominance of the matrix; that is reported rather than
+    clamped.
+    """
+    kappa = _interface_coefficients(1.0 - u_next, mesh, ARITHMETIC)
+    if np.any(kappa < 0.0):
+        raise InstabilityError(
+            "negative tumour interface coefficient: healthy density exceeded 1"
+        )
+    return _backward_euler_bands(kappa, gamma, mesh)
 
 
 def assemble_implicit_v(
@@ -184,16 +204,15 @@ def assemble_implicit_v(
 
     Encodes (I - dt*D*L) v = v_expl where L carries the degenerate
     coefficient (1 - u) evaluated from the freshly updated healthy field.
-    A negative interface coefficient means u exceeded 1 upstream, which
-    would break the dominance of the matrix; that is reported rather than
-    clamped.
+    Raises InstabilityError when an interface coefficient is negative.
     """
-    kappa = _interface_coefficients(1.0 - np.asarray(u_next), m, opts.interface_average_v)
-    if np.any(kappa < 0.0):
-        raise InstabilityError(
-            "negative tumour interface coefficient: healthy density exceeded 1"
-        )
-    return _assemble_backward_euler(kappa, p.D * opts.dt, v_expl, m)
+    return TridiagonalSystem(*_tumour_bands(np.asarray(u_next), p.D * opts.dt, m), rhs=v_expl)
+
+
+def _acid_bands(A_cells, opts: SchemeOptions, mesh: Mesh):
+    """Bands of I - dt*L_A."""
+    kappa = _interface_coefficients(np.asarray(A_cells), mesh, opts.interface_average_w)
+    return _backward_euler_bands(kappa, opts.dt, mesh)
 
 
 def assemble_implicit_w(
@@ -203,8 +222,15 @@ def assemble_implicit_w(
     m: Mesh,
 ) -> TridiagonalSystem:
     """Backward-Euler system (I - dt*L_A) w = w_expl for the acid stage."""
-    kappa = _interface_coefficients(np.asarray(A_cells), m, opts.interface_average_w)
-    return _assemble_backward_euler(kappa, opts.dt, w_expl, m)
+    return TridiagonalSystem(*_acid_bands(A_cells, opts, m), rhs=w_expl)
+
+
+def _gtsv(sub, diag, super_, rhs, overwrite: bool = False) -> np.ndarray:
+    """LAPACK gtsv on the bands; ``overwrite`` lets it reuse all four inputs."""
+    *_, x, info = dgtsv(sub, diag, super_, rhs, overwrite, overwrite, overwrite, overwrite)
+    if info:
+        raise InstabilityError(f"singular tridiagonal system (LAPACK gtsv info={info})")
+    return x
 
 
 def solve_tridiagonal(sys: TridiagonalSystem) -> np.ndarray:
@@ -214,17 +240,34 @@ def solve_tridiagonal(sys: TridiagonalSystem) -> np.ndarray:
     The assembled systems are strictly diagonally dominant so a zero pivot
     cannot occur for them; singular input is still caught and reported.
     """
-    n = sys.diag.size
-    ab = np.zeros((3, n))
-    ab[0, 1:] = sys.super
-    ab[1, :] = sys.diag
-    ab[2, :-1] = sys.sub
-    try:
-        return scipy.linalg.solve_banded(
-            (1, 1), ab, sys.rhs, overwrite_ab=True, check_finite=False
-        )
-    except np.linalg.LinAlgError as exc:
-        raise InstabilityError(f"singular tridiagonal system: {exc}") from exc
+    return _gtsv(sys.sub, sys.diag, sys.super, sys.rhs)
+
+
+def _factor_acid(A_cells, opts: SchemeOptions, mesh: Mesh):
+    """LU factors (LAPACK gttrf) of the acid matrix I - dt*L_A, as the
+    (dl, d, du, du2, ipiv) arguments gttrs takes before the right-hand side."""
+    bands = _acid_bands(A_cells, opts, mesh)
+    *factors, info = dgttrf(*bands, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+    if info:
+        raise InstabilityError(f"singular acid matrix (LAPACK gttrf info={info})")
+    return tuple(factors)
+
+
+def _imex_step(u, v, w, t: float, p: ModelParameters, dt: float, mesh: Mesh, acid_lu):
+    """Fresh fields (u, v, w) one IMEX step after time t; the inputs are not
+    modified.  ``acid_lu`` comes from _factor_acid for the same dt and mesh."""
+    u_next = u + dt * reaction_u(u, w, p.d)
+    v_expl = v + dt * reaction_v(v, p.r)
+    v_next = _gtsv(*_tumour_bands(u_next, p.D * dt, mesh), v_expl, overwrite=True)
+    w_expl = w + dt * reaction_w(v, w, p.c)
+    w_next, info = dgttrs(*acid_lu, w_expl, overwrite_b=1)
+    if info:
+        raise InstabilityError(f"acid solve failed (LAPACK gttrs info={info})", time=t)
+    if not (
+        np.isfinite(u_next).all() and np.isfinite(v_next).all() and np.isfinite(w_next).all()
+    ):
+        raise InstabilityError(f"non-finite field values after step from t={t!r}", time=t)
+    return u_next, v_next, w_next
 
 
 def _flux_divergence(kappa: np.ndarray, q: np.ndarray, mesh: Mesh) -> np.ndarray:
@@ -245,7 +288,7 @@ def semidiscrete_rhs(
 ):
     """Time derivatives (du, dv, dw) of the semi-discrete system."""
     du = reaction_u(s.u, s.w, p.d)
-    kappa_v = _interface_coefficients(1.0 - s.u, s.mesh, opts.interface_average_v)
+    kappa_v = _interface_coefficients(1.0 - s.u, s.mesh, ARITHMETIC)
     dv = reaction_v(s.v, p.r) + p.D * _flux_divergence(kappa_v, s.v, s.mesh)
     kappa_w = _interface_coefficients(np.asarray(A_cells), s.mesh, opts.interface_average_w)
     dw = reaction_w(s.v, s.w, p.c) + _flux_divergence(kappa_w, s.w, s.mesh)
@@ -259,21 +302,9 @@ def step_imex(
     opts: SchemeOptions,
 ) -> SimulationState:
     """Advance the state by one IMEX step of size opts.dt."""
-    dt = opts.dt
-    u_next = s.u + dt * reaction_u(s.u, s.w, p.d)
-    v_expl = s.v + dt * reaction_v(s.v, p.r)
-    v_next = solve_tridiagonal(assemble_implicit_v(u_next, v_expl, p, opts, s.mesh))
-    w_expl = s.w + dt * reaction_w(s.v, s.w, p.c)
-    w_next = solve_tridiagonal(assemble_implicit_w(A_cells, w_expl, opts, s.mesh))
-    if not (
-        np.all(np.isfinite(u_next))
-        and np.all(np.isfinite(v_next))
-        and np.all(np.isfinite(w_next))
-    ):
-        raise InstabilityError(
-            f"non-finite field values after step from t={s.time!r}", time=s.time
-        )
-    return SimulationState(mesh=s.mesh, time=s.time + dt, u=u_next, v=v_next, w=w_next)
+    acid_lu = _factor_acid(A_cells, opts, s.mesh)
+    u, v, w = _imex_step(s.u, s.v, s.w, s.time, p, opts.dt, s.mesh, acid_lu)
+    return SimulationState._trusted(s.mesh, s.time + opts.dt, u, v, w)
 
 
 def reaction_step_limit(p: ModelParameters) -> float:
@@ -310,17 +341,22 @@ def run(
         )
     A_cells = project_cell_averages(A, s0.mesh)
     n_steps = max(0, math.ceil((T - s0.time) / opts.dt - 1e-9))
+    mesh, dt = s0.mesh, opts.dt
+    acid_lu = _factor_acid(A_cells, opts, mesh)
     state = s0
     for k in range(n_steps):
         previous = state
         try:
-            state = step_imex(state, A_cells, p, opts)
+            fields = _imex_step(
+                previous.u, previous.v, previous.w, previous.time, p, dt, mesh, acid_lu
+            )
         except InstabilityError as exc:
             raise InstabilityError(
                 f"run became unstable at step {k} (t={previous.time!r}): {exc}",
                 step=k,
                 time=previous.time,
             ) from exc
+        state = SimulationState._trusted(mesh, previous.time + dt, *fields)
         for observer in observers:
             observer(k, previous, state)
     return state

@@ -55,6 +55,23 @@ class TestSimulate:
             rc = main(["simulate", str(cfg_path), "--out", str(tmp_path / "out")])
         assert rc == 2
 
+    def test_front_leaving_domain_is_not_classified(self, tmp_path):
+        # fast growth and diffusion carry the front out of a short domain
+        from acidfront.core import ModelParameters
+        from acidfront.errors import FrontProximityWarning
+
+        cfg_path = tmp_path / "escape.cfg"
+        write_small_config(
+            cfg_path, params=ModelParameters(d=30.0, r=10.0, D=0.01, c=70.0),
+            dx=0.02, T=2.0, snapshots=(),
+        )
+        with pytest.warns(FrontProximityWarning):
+            rc = main(["simulate", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert rc == 0
+        summary = (tmp_path / "out" / "summary.txt").read_text()
+        assert "classification=none\n" in summary
+        assert "no tumour front left inside the domain" in summary
+
     def test_overrides(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
         write_small_config(cfg_path)

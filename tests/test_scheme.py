@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from acidfront.core import ModelParameters
 from acidfront.errors import InstabilityError, StabilityWarning
 from acidfront.mesh import (
     Constant,
     SingleJump,
+    Sinusoidal,
     build_uniform_mesh,
     mesh_from_interfaces,
     project_cell_averages,
 )
 from acidfront.scheme import (
+    ARITHMETIC,
+    HARMONIC,
     SchemeOptions,
     SimulationState,
     TridiagonalSystem,
@@ -88,10 +94,6 @@ class TestSchemeOptions:
     def test_rejects_unknown_average(self):
         with pytest.raises(ValueError):
             SchemeOptions(dt=0.01, interface_average_w="geometric")
-
-    def test_tumour_average_is_fixed(self):
-        with pytest.raises(ValueError):
-            SchemeOptions(dt=0.01, interface_average_v="harmonic")
 
 
 class TestSimulationState:
@@ -190,6 +192,18 @@ class TestAssembleImplicitV:
         # Neumann closure drops one neighbour at the ends
         assert sys.diag[0] == pytest.approx(1.0 + lam)
         assert sys.diag[-1] == pytest.approx(1.0 + lam)
+
+    def test_degenerate_coefficient_averaged_arithmetically(self):
+        # (1 - u) vanishes in cell 0: a harmonic mean would close the first
+        # interface, the arithmetic mean leaves it half open
+        m = build_uniform_mesh(0.0, 1.0, 0.25)
+        p = reference_params()
+        opts = SchemeOptions(dt=0.01)
+        lam = p.D * opts.dt / 0.25**2
+        sys = assemble_implicit_v(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(4), p, opts, m)
+        assert sys.super[0] == pytest.approx(-0.5 * lam)
+        assert sys.sub[0] == pytest.approx(-0.5 * lam)
+        assert sys.super[1] == pytest.approx(-lam)
 
     def test_overshoot_raises(self):
         m = build_uniform_mesh(0.0, 1.0, 0.25)
@@ -404,3 +418,57 @@ class TestRun:
 
     def test_reaction_limit_reference_value(self):
         assert reaction_step_limit(reference_params()) == pytest.approx(2.0 / 70.0)
+
+
+@st.composite
+def meshes(draw):
+    n = draw(st.integers(3, 40))
+    if draw(st.booleans()):
+        return build_uniform_mesh(0.0, 1.0, 1.0 / n)
+    widths = np.array(draw(st.lists(st.floats(0.2, 5.0), min_size=n, max_size=n)))
+    return mesh_from_interfaces(np.concatenate(([0.0], np.cumsum(widths) / widths.sum())))
+
+
+@st.composite
+def stepper_cases(draw):
+    mesh = draw(meshes())
+    n = mesh.n_cells
+    unit = hnp.arrays(float, n, elements=st.floats(0.0, 1.0))
+    state = SimulationState(mesh, 0.0, draw(unit), draw(unit), draw(unit))
+    p = ModelParameters(
+        d=draw(st.floats(0.1, 50.0)),
+        r=draw(st.floats(0.1, 20.0)),
+        D=draw(st.floats(1e-5, 0.5)),
+        c=draw(st.floats(0.1, 100.0)),
+    )
+    dt = draw(st.floats(0.01, 1.0)) * reaction_step_limit(p)
+    profile = draw(st.one_of(
+        st.builds(SingleJump, st.floats(0.01, 2.0), st.floats(0.01, 2.0), st.floats(0.05, 0.95)),
+        st.builds(Sinusoidal, st.just(0.05), st.floats(0.05, 2.0), st.floats(1.0, 200.0)),
+    ))
+    opts = SchemeOptions(dt=dt, interface_average_w=draw(st.sampled_from([ARITHMETIC, HARMONIC])))
+    return state, profile, p, opts, draw(st.integers(2, 6))
+
+
+class TestOneStepper:
+    @pytest.mark.filterwarnings("ignore::acidfront.errors.ResolutionWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(stepper_cases())
+    def test_run_equals_repeated_steps(self, case):
+        # run() factors the acid matrix once and reuses it; step_imex
+        # factors afresh every call, so a clobbered factor shows as a
+        # difference from the second step on
+        s0, profile, p, opts, k = case
+        a_cells = project_cell_averages(profile, s0.mesh)
+        expected = s0
+        try:
+            for _ in range(k):
+                expected = step_imex(expected, a_cells, p, opts)
+        except InstabilityError:
+            with pytest.raises(InstabilityError):
+                run(s0, profile, p, opts, T=k * opts.dt)
+            return
+        out = run(s0, profile, p, opts, T=k * opts.dt)
+        assert out.time == expected.time
+        for name in ("u", "v", "w"):
+            assert np.array_equal(getattr(out, name), getattr(expected, name)), name
