@@ -45,7 +45,6 @@ from .mesh import (
     SingleJump,
     Sinusoidal,
     build_uniform_mesh,
-    evaluate_profile,
     mesh_from_interfaces,
     project_cell_averages,
 )
@@ -55,6 +54,7 @@ from .scenarios import (
     RunSummary,
     ScenarioConfig,
     convergence_study,
+    effective_twin,
     initial_state,
     observed_order,
     parse_config,
@@ -62,6 +62,7 @@ from .scenarios import (
     preset_names,
     render_config,
     run_config,
+    run_configs,
     run_homogenization_suite,
     run_scenario,
     speed_table,

@@ -97,14 +97,15 @@ class InvasionRegime(str, Enum):
         return self.value
 
 
-def leveque_yee_step(v_prev, v_next, dx: float, dt: float, v_minus: float, v_plus: float) -> float:
+def leveque_yee_step(v_prev, v_next, dx: float, dt: float, v_minus: float, v_plus: float):
     """One-step LeVeque-Yee speed estimate on a uniform mesh.
 
-    theta = (dx/dt) * sum_i(v_next_i - v_prev_i) / (v_minus - v_plus).
+    theta = (dx/dt) * sum_i(v_next_i - v_prev_i) / (v_minus - v_plus), summed
+    over the last axis: one estimate per run for (B, N) batch fields.
     """
     if v_minus == v_plus:
         raise ValueError("far-field states coincide; the speed estimate is undefined")
-    increment = float(np.sum(np.asarray(v_next) - np.asarray(v_prev)))
+    increment = (np.asarray(v_next) - np.asarray(v_prev)).sum(axis=-1)
     return (dx / dt) * increment / (v_minus - v_plus)
 
 
@@ -124,11 +125,12 @@ def tail_speed(series: WaveSpeedSeries) -> tuple[float, float]:
 
 class WaveSpeedRecorder:
     """Run observer accumulating the per-step speed estimates of the tumour
-    front.
+    front, one series per run of a batch.
 
-    Warns once if the front (the 0.5-crossing of v) comes within
+    Warns once per run if its front (the 0.5-crossing of v) comes within
     ``boundary_margin`` cells of either end, where the Neumann closure
-    starts to pollute the estimate.
+    starts to pollute the estimate; ``front_near_boundary`` says which runs
+    did (a bool for a single run, one per run for a batch).
     """
 
     def __init__(
@@ -146,56 +148,87 @@ class WaveSpeedRecorder:
         self._v_plus = v_plus
         self._tail_fraction = tail_fraction
         self._margin = boundary_margin
-        self._thetas: list[float] = []
+        # Cells within the margin of the right end, and of the left end
+        # after the first cell.
+        self._right = slice(max(mesh.n_cells - boundary_margin, 0), None)
+        self._left = slice(1, boundary_margin)
+        self._thetas: list = []
         self._times: list[float] = []
-        self.front_near_boundary = False
+        self.front_near_boundary = np.False_
 
     def __call__(self, step: int, previous: SimulationState, current: SimulationState):
+        v = current.v
         self._thetas.append(
-            leveque_yee_step(
-                previous.v, current.v, self._dx, self._dt, self._v_minus, self._v_plus
-            )
+            leveque_yee_step(previous.v, v, self._dx, self._dt, self._v_minus, self._v_plus)
         )
         self._times.append(current.time)
-        if not self.front_near_boundary:
-            above = np.nonzero(current.v >= 0.5)[0]
-            # Only a genuine 0.5-crossing counts as a front; an invaded
-            # plateau reaching into a boundary (e.g. the initial core at the
-            # left end) is not one.
-            right_near = above.size and above[-1] >= current.v.size - self._margin
-            left_near = above.size and 0 < above[0] < self._margin
-            if right_near or left_near:
-                self.front_near_boundary = True
-                warnings.warn(
-                    f"tumour front within {self._margin} cells of the domain "
-                    f"boundary at t={current.time!r}; speed estimates are "
-                    "unreliable from here on",
-                    FrontProximityWarning,
-                    stacklevel=2,
-                )
+        # Only a genuine 0.5-crossing counts as a front; an invaded plateau
+        # reaching into a boundary (e.g. the initial core at the left end)
+        # is not one, hence the first cell must lie below 0.5.
+        peak = np.maximum.reduce
+        near = (peak(v[..., self._right], axis=-1) >= 0.5) | (
+            (v[..., 0] < 0.5) & (peak(v[..., self._left], axis=-1) >= 0.5)
+        )
+        if not near.any():
+            return
+        new = near & ~self.front_near_boundary
+        self.front_near_boundary = self.front_near_boundary | near
+        for run in np.flatnonzero(new):
+            which = f" of run {run}" if v.ndim > 1 else ""
+            warnings.warn(
+                f"tumour front{which} within {self._margin} cells of the domain "
+                f"boundary at t={current.time!r}; speed estimates are "
+                "unreliable from here on",
+                FrontProximityWarning,
+                stacklevel=2,
+            )
 
-    def series(self) -> WaveSpeedSeries:
+    def series(self, run: int = 0) -> WaveSpeedSeries:
+        """The speed series of one run of a batch (of the run, for one)."""
+        thetas = np.array(self._thetas, dtype=float)
         return WaveSpeedSeries(
-            thetas=np.array(self._thetas),
+            thetas=thetas[:, run] if thetas.ndim == 2 else thetas,
             times=np.array(self._times),
             tail_fraction=self._tail_fraction,
         )
 
 
 class PositivityRecorder:
-    """Run observer tracking the minimum of each field over all steps."""
+    """Run observer tracking the minimum of each field over all steps.
+
+    Keeps cellwise running minima and reduces them over the cells when read,
+    so ``min_u``, ``min_v`` and ``min_w`` are floats for a single run and
+    hold one value per run for a batch (inf before any state is seen).
+    """
 
     def __init__(self, initial: SimulationState | None = None):
-        self.min_u = math.inf
-        self.min_v = math.inf
-        self.min_w = math.inf
+        self._minima = None
         if initial is not None:
             self._update(initial)
 
     def _update(self, state: SimulationState):
-        self.min_u = min(self.min_u, float(state.u.min()))
-        self.min_v = min(self.min_v, float(state.v.min()))
-        self.min_w = min(self.min_w, float(state.w.min()))
+        if self._minima is None:
+            self._minima = (state.u.copy(), state.v.copy(), state.w.copy())
+            return
+        min_u, min_v, min_w = self._minima
+        np.minimum(min_u, state.u, out=min_u)
+        np.minimum(min_v, state.v, out=min_v)
+        np.minimum(min_w, state.w, out=min_w)
+
+    def _least(self, field: int):
+        return math.inf if self._minima is None else self._minima[field].min(axis=-1)
+
+    @property
+    def min_u(self):
+        return self._least(0)
+
+    @property
+    def min_v(self):
+        return self._least(1)
+
+    @property
+    def min_w(self):
+        return self._least(2)
 
     def __call__(self, step: int, previous: SimulationState, current: SimulationState):
         self._update(current)
@@ -300,28 +333,21 @@ def effective_diffusivity(p: DiffusionProfile) -> float:
 
 
 def homogenization_compare(
-    scenario,
+    periodic: WaveSpeedSeries,
+    effective: WaveSpeedSeries,
     tol_gap: float = DEFAULT_HOMOGENIZATION_GAP_TOL,
     tol_osc: float = DEFAULT_HOMOGENIZATION_OSC_TOL,
 ) -> HomogenizationVerdict:
-    """Run a periodic-diffusivity scenario and its constant effective-A
-    twin, and decide whether the two share the asymptotic front speed.
+    """Decide from their speed series whether a periodic-diffusivity run and
+    its constant effective-A twin share the asymptotic front speed.
 
     Homogenized means the tail means agree within ``tol_gap`` (relative to
     the effective run) and the periodic run's tail oscillation stays below
     ``tol_osc``; persistent oscillation is the signature of a front feeling
     the microstructure.
     """
-    import dataclasses
-
-    from .mesh import Constant
-    from .scenarios import run_config
-
-    a_eff = effective_diffusivity(scenario.profile)
-    periodic_cfg = dataclasses.replace(scenario, wavespeed=True)
-    effective_cfg = dataclasses.replace(scenario, profile=Constant(a_eff), wavespeed=True)
-    theta_p, osc_p = tail_speed(run_config(periodic_cfg).speed_series)
-    theta_e, _ = tail_speed(run_config(effective_cfg).speed_series)
+    theta_p, osc_p = tail_speed(periodic)
+    theta_e, _ = tail_speed(effective)
     relative_gap = abs(theta_p - theta_e) / abs(theta_e)
     return HomogenizationVerdict(
         theta_periodic_tail=theta_p,

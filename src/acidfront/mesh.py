@@ -291,11 +291,6 @@ class Sinusoidal(DiffusionProfile):
         return (self.alpha0, self.alpha1)
 
 
-def evaluate_profile(profile: DiffusionProfile, x):
-    """Pointwise diffusivity A(x)."""
-    return profile.value(x)
-
-
 def project_cell_averages(profile: DiffusionProfile, mesh: Mesh) -> np.ndarray:
     """Exact per-cell integral averages of A on ``mesh``.
 

@@ -29,10 +29,11 @@ from .analysis import (
     WaveSpeedSeries,
     classify_invasion,
     detect_gap,
+    effective_diffusivity,
     homogenization_compare,
     tail_speed,
 )
-from .core import ModelParameters
+from .core import ModelParameters, fkpp_minimal_speed
 from .errors import ConfigurationError
 from .mesh import (
     Constant,
@@ -57,6 +58,14 @@ RIEMANN = "riemann"
 PIECEWISE_LINEAR = "piecewise_linear"
 
 _FLOAT_FMT = "%.17g"
+
+# How far T/dt (or t_snap/dt) may sit from a whole number of steps.
+_GRID_TOL = 1e-9
+
+
+def _off_grid(t: float, dt: float) -> bool:
+    steps = t / dt
+    return abs(steps - round(steps)) > _GRID_TOL
 
 
 @dataclass(frozen=True)
@@ -92,10 +101,18 @@ class ScenarioConfig:
             )
         if not self.T > 0.0:
             raise ConfigurationError(f"final time must be positive, got {self.T!r}")
+        if _off_grid(self.T, self.dt):
+            raise ConfigurationError(
+                f"final time {self.T!r} is not a whole number of steps dt={self.dt!r}"
+            )
         for t in self.snapshots:
             if not 0.0 <= t <= self.T:
                 raise ConfigurationError(
                     f"snapshot time {t!r} outside [0, {self.T!r}]"
+                )
+            if _off_grid(t, self.dt):
+                raise ConfigurationError(
+                    f"snapshot time {t!r} is not a whole number of steps dt={self.dt!r}"
                 )
         if isinstance(self.profile, SingleJump) and not (
             self.xmin < self.profile.x_jump < self.xmax
@@ -410,7 +427,8 @@ def parse_config(text: str) -> ScenarioConfig:
 
 @dataclass(frozen=True)
 class RunResult:
-    """In-memory outcome of one run (no file output)."""
+    """In-memory outcome of one run (no file output).  ``wall_time_s`` is
+    the time of the whole batch the run marched in (see ``run_configs``)."""
 
     config: ScenarioConfig
     final_state: SimulationState
@@ -488,13 +506,8 @@ class SnapshotWriter:
             self.write(current, self._pending.pop(0))
 
 
-def run_config(cfg: ScenarioConfig, extra_observers=()) -> RunResult:
-    """Execute a scenario in memory and collect diagnostics."""
-    mesh = cfg.mesh()
-    state0 = initial_state(cfg.initial, mesh)
-    opts = SchemeOptions(dt=cfg.dt)
-
-    run_warnings: list[str] = []
+def _run_warnings(cfg: ScenarioConfig, front_near_boundary) -> tuple[str, ...]:
+    run_warnings = []
     limit = reaction_step_limit(cfg.params)
     if cfg.dt > limit:
         run_warnings.append(
@@ -507,33 +520,81 @@ def run_config(cfg: ScenarioConfig, extra_observers=()) -> RunResult:
             run_warnings.append(
                 f"cell width ~ {nearest} x diffusivity period; oscillations alias"
             )
+    if front_near_boundary:
+        run_warnings.append("tumour front approached the domain boundary")
+    return tuple(run_warnings)
+
+
+def _batch_key(cfg: ScenarioConfig):
+    """What the runs of one batch must share: mesh, dt, T and D."""
+    return (cfg.xmin, cfg.xmax, cfg.dx, cfg.dt, cfg.T, cfg.params.D)
+
+
+def _run_batch(cfgs, extra_observers=()) -> list[RunResult]:
+    """March scenarios sharing one ``_batch_key`` as one block-diagonal
+    batch; each result's wall time is that of the whole batch."""
+    first = cfgs[0]
+    mesh = first.mesh()
+    state0 = SimulationState.stack([initial_state(cfg.initial, mesh) for cfg in cfgs])
 
     observers = list(extra_observers)
     positivity = PositivityRecorder(initial=state0)
     observers.append(positivity)
     recorder = None
-    if cfg.wavespeed:
-        recorder = WaveSpeedRecorder(mesh, cfg.dt)
+    if any(cfg.wavespeed for cfg in cfgs):
+        recorder = WaveSpeedRecorder(mesh, first.dt)
         observers.append(recorder)
 
     started = time.perf_counter()
-    final = run(state0, cfg.profile, cfg.params, opts, cfg.T, observers=observers)
+    final = run(
+        state0,
+        [cfg.profile for cfg in cfgs],
+        [cfg.params for cfg in cfgs],
+        SchemeOptions(dt=first.dt),
+        first.T,
+        observers=observers,
+    )
     elapsed = time.perf_counter() - started
 
-    if recorder is not None and recorder.front_near_boundary:
-        run_warnings.append("tumour front approached the domain boundary")
-    steps = max(0, math.ceil((cfg.T - state0.time) / cfg.dt - 1e-9))
-    return RunResult(
-        config=cfg,
-        final_state=final,
-        speed_series=recorder.series() if recorder is not None else None,
-        min_u=positivity.min_u,
-        min_v=positivity.min_v,
-        min_w=positivity.min_w,
-        steps=steps,
-        wall_time_s=elapsed,
-        warnings=tuple(run_warnings),
+    runs = (len(cfgs),)
+    min_u, min_v, min_w = (
+        np.broadcast_to(m, runs) for m in (positivity.min_u, positivity.min_v, positivity.min_w)
     )
+    near = np.broadcast_to(recorder.front_near_boundary if recorder is not None else False, runs)
+    steps = max(0, math.ceil((first.T - state0.time) / first.dt - 1e-9))
+    return [
+        RunResult(
+            config=cfg,
+            final_state=state,
+            speed_series=recorder.series(b) if cfg.wavespeed else None,
+            min_u=float(min_u[b]),
+            min_v=float(min_v[b]),
+            min_w=float(min_w[b]),
+            steps=steps,
+            wall_time_s=elapsed,
+            warnings=_run_warnings(cfg, near[b]),
+        )
+        for b, (cfg, state) in enumerate(zip(cfgs, final.unstack()))
+    ]
+
+
+def run_config(cfg: ScenarioConfig, extra_observers=()) -> RunResult:
+    """Execute a scenario in memory and collect diagnostics."""
+    return _run_batch([cfg], extra_observers)[0]
+
+
+def run_configs(cfgs) -> list[RunResult]:
+    """Execute scenarios in memory, in the order given.  Those sharing the
+    mesh, dt, T and D march together as one batch: one block-diagonal
+    system, one LAPACK call per solve for all of them."""
+    groups: dict[tuple, list[int]] = {}
+    for i, cfg in enumerate(cfgs):
+        groups.setdefault(_batch_key(cfg), []).append(i)
+    results: list = [None] * len(cfgs)
+    for members in groups.values():
+        for i, result in zip(members, _run_batch([cfgs[i] for i in members])):
+            results[i] = result
+    return results
 
 
 def summarize(result: RunResult) -> RunSummary:
@@ -587,6 +648,15 @@ def run_scenario(cfg: ScenarioConfig, outdir) -> RunSummary:
     return summary
 
 
+def effective_twin(cfg: ScenarioConfig) -> ScenarioConfig:
+    """The scenario with its periodic diffusivity replaced by the constant
+    effective one (its harmonic mean); raises ValueError for an aperiodic
+    profile."""
+    return dataclasses.replace(
+        cfg, profile=Constant(effective_diffusivity(cfg.profile)), wavespeed=True
+    )
+
+
 def run_homogenization_suite(
     rows,
     outdir=None,
@@ -596,17 +666,26 @@ def run_homogenization_suite(
     """Homogenization comparison for each (d, omega, alpha0, alpha1) row,
     run for both profile families.
 
-    Returns one dict per row with the two verdicts; also writes
+    Every periodic run and its effective twin march as one batch.  Returns
+    one dict per row with the two verdicts; also writes
     ``homogenization.csv`` when ``outdir`` is given.
     """
+    families = ("pc", "sin")
+    periodic = [
+        _config(d, table3_profile(family, omega, a0, a1), PIECEWISE_LINEAR, 0.0, 1.0)
+        for d, omega, a0, a1 in rows
+        for family in families
+    ]
+    runs = run_configs(periodic + [effective_twin(cfg) for cfg in periodic])
+    verdicts = iter(
+        homogenization_compare(p.speed_series, e.speed_series, tol_gap=tol_gap, tol_osc=tol_osc)
+        for p, e in zip(runs[: len(periodic)], runs[len(periodic) :])
+    )
     results = []
     for d, omega, a0, a1 in rows:
         row = {"d": d, "omega": omega, "alpha0": a0, "alpha1": a1}
-        for family in ("pc", "sin"):
-            cfg = _config(
-                d, table3_profile(family, omega, a0, a1), PIECEWISE_LINEAR, 0.0, 1.0
-            )
-            row[family] = homogenization_compare(cfg, tol_gap=tol_gap, tol_osc=tol_osc)
+        for family in families:
+            row[family] = next(verdicts)
         results.append(row)
 
     if outdir is not None:
@@ -697,14 +776,11 @@ def observed_order(rows) -> float:
 
 
 def speed_table(names) -> list[dict]:
-    """Tail speed statistics for a batch of presets."""
-    from .core import fkpp_minimal_speed
-
+    """Tail speed statistics for a batch of presets; presets sharing the
+    mesh, dt, T and D march together."""
+    cfgs = [dataclasses.replace(preset(name), wavespeed=True) for name in names]
     rows = []
-    for name in names:
-        cfg = preset(name)
-        cfg = dataclasses.replace(cfg, wavespeed=True)
-        result = run_config(cfg)
+    for name, cfg, result in zip(names, cfgs, run_configs(cfgs)):
         mean, ptp = tail_speed(result.speed_series)
         rows.append(
             {

@@ -20,7 +20,7 @@ from acidfront.analysis import (
 )
 from acidfront.core import ModelParameters
 from acidfront.mesh import Constant, PeriodicPiecewiseConstant, Sinusoidal, build_uniform_mesh
-from acidfront.scenarios import PIECEWISE_LINEAR, ScenarioConfig
+from acidfront.scenarios import PIECEWISE_LINEAR, ScenarioConfig, effective_twin, run_configs
 from acidfront.scheme import SimulationState
 
 
@@ -290,16 +290,26 @@ class TestWaveSpeedRecorder:
         assert series.thetas[1] == 0.0
 
 
+def coarse_scenario(profile):
+    return ScenarioConfig(
+        params=ModelParameters(d=12.5, r=1.0, D=4e-5, c=70.0),
+        profile=profile,
+        initial=PIECEWISE_LINEAR,
+        xmin=0.0, xmax=1.0, dx=0.01, dt=0.01, T=2.0,
+        snapshots=(),
+    )
+
+
+def constant_series(values):
+    values = np.asarray(values, dtype=float)
+    return WaveSpeedSeries(values, np.arange(1, values.size + 1) * 0.01, tail_fraction=0.5)
+
+
 class TestHomogenizationCompare:
     def test_smoke_on_coarse_scenario(self):
-        cfg = ScenarioConfig(
-            params=ModelParameters(d=12.5, r=1.0, D=4e-5, c=70.0),
-            profile=Sinusoidal(0.4, 0.6, 50.0),
-            initial=PIECEWISE_LINEAR,
-            xmin=0.0, xmax=1.0, dx=0.01, dt=0.01, T=2.0,
-            snapshots=(),
-        )
-        verdict = homogenization_compare(cfg)
+        cfg = coarse_scenario(Sinusoidal(0.4, 0.6, 50.0))
+        periodic, effective = run_configs([cfg, effective_twin(cfg)])
+        verdict = homogenization_compare(periodic.speed_series, effective.speed_series)
         assert verdict.theta_periodic_tail != 0.0
         assert verdict.theta_effective_tail != 0.0
         assert verdict.relative_gap >= 0.0
@@ -307,11 +317,21 @@ class TestHomogenizationCompare:
         assert isinstance(verdict.homogenized, bool)
 
     def test_rejects_aperiodic_profile(self):
-        cfg = ScenarioConfig(
-            params=ModelParameters(d=12.5, r=1.0, D=4e-5, c=70.0),
-            profile=Constant(1.0),
-            initial=PIECEWISE_LINEAR,
-            xmin=0.0, xmax=1.0, dx=0.01, dt=0.01, T=2.0,
-        )
+        # a constant profile has no effective twin to compare against
         with pytest.raises(ValueError):
-            homogenization_compare(cfg)
+            effective_twin(coarse_scenario(Constant(1.0)))
+
+    def test_verdict_from_tail_means_and_oscillation(self):
+        effective = constant_series([0.5, 0.5, 0.010, 0.010])
+        close = homogenization_compare(constant_series([9.0, 9.0, 0.0103, 0.0103]), effective)
+        assert close.theta_periodic_tail == pytest.approx(0.0103)
+        assert close.relative_gap == pytest.approx(0.03)
+        assert close.oscillation_amplitude == 0.0
+        assert close.homogenized
+        assert not homogenization_compare(constant_series([1.0, 1.0, 0.0105, 0.0105]), effective).homogenized
+        wobbly = homogenization_compare(constant_series([0.0, 0.0, 0.0095, 0.0105]), effective)
+        assert wobbly.relative_gap == pytest.approx(0.0)
+        assert wobbly.oscillation_amplitude == pytest.approx(0.1)
+        assert not homogenization_compare(
+            constant_series([0.0, 0.0, 0.0095, 0.0105]), effective, tol_osc=0.099
+        ).homogenized

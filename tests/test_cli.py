@@ -72,6 +72,15 @@ class TestSimulate:
         assert "classification=none\n" in summary
         assert "no tumour front left inside the domain" in summary
 
+    def test_final_time_off_the_dt_grid(self, tmp_path, capsys):
+        # T = 0.1 dt used to run one whole step and report success
+        rc = main([
+            "simulate", "table1-d12.5", "--T", "0.05", "--dt", "0.5",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 1
+        assert "whole number of steps" in capsys.readouterr().err
+
     def test_overrides(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
         write_small_config(cfg_path)
@@ -133,6 +142,14 @@ class TestSpeedTable:
         lines = (tmp_path / "speeds.csv").read_text().splitlines()
         assert lines[0] == "preset,tail_mean,tail_peak_to_peak,fkpp_bound"
         assert len(lines) == 2
+
+    def test_batch_rows_follow_the_command_line(self, tmp_path, capsys):
+        # the two jump presets share mesh, dt, T and D and march as one batch;
+        # table1 has its own mesh
+        names = ["jump-increasing-d0.5", "table1-d12.5", "jump-decreasing-d0.5"]
+        assert main(["speed-table", *names, "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "speeds.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == names
 
 
 class TestEntryPoint:

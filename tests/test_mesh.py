@@ -13,7 +13,6 @@ from acidfront.mesh import (
     SingleJump,
     Sinusoidal,
     build_uniform_mesh,
-    evaluate_profile,
     mesh_from_interfaces,
     project_cell_averages,
 )
@@ -108,30 +107,30 @@ class TestProfileValidation:
 class TestEvaluateProfile:
     def test_sinusoidal_midline(self):
         p = Sinusoidal(0.4, 0.6, 50.0)
-        assert evaluate_profile(p, 0.0) == pytest.approx(0.5)
-        assert evaluate_profile(p, 2 * math.pi / 50.0) == pytest.approx(0.5)
+        assert p.value(0.0) == pytest.approx(0.5)
+        assert p.value(2 * math.pi / 50.0) == pytest.approx(0.5)
 
     def test_sinusoidal_peak(self):
         p = Sinusoidal(0.1, 1.0, 50.0)
         x_peak = (math.pi / 2.0) / 50.0
-        assert evaluate_profile(p, x_peak) == pytest.approx(1.0)
+        assert p.value(x_peak) == pytest.approx(1.0)
 
     def test_single_jump_sides(self):
         p = SingleJump(0.1, 1.0, 0.625)
-        assert evaluate_profile(p, 0.5) == pytest.approx(0.1)
-        assert evaluate_profile(p, 0.7) == pytest.approx(1.0)
+        assert p.value(0.5) == pytest.approx(0.1)
+        assert p.value(0.7) == pytest.approx(1.0)
         # right-closed convention at the jump itself
-        assert evaluate_profile(p, 0.625) == pytest.approx(1.0)
+        assert p.value(0.625) == pytest.approx(1.0)
 
     def test_periodic_piecewise_pattern(self):
         p = PeriodicPiecewiseConstant(alpha0=0.01, alpha1=1.0, beta=0.5, periods=50.0)
-        assert evaluate_profile(p, 0.004) == pytest.approx(1.0)   # first half period
-        assert evaluate_profile(p, 0.015) == pytest.approx(0.01)  # second half
-        assert evaluate_profile(p, 0.024) == pytest.approx(1.0)   # next period
+        assert p.value(0.004) == pytest.approx(1.0)   # first half period
+        assert p.value(0.015) == pytest.approx(0.01)  # second half
+        assert p.value(0.024) == pytest.approx(1.0)   # next period
 
     def test_vectorized(self):
         p = Sinusoidal(0.4, 0.6, 50.0)
-        out = evaluate_profile(p, np.array([0.0, 0.1, 0.2]))
+        out = p.value(np.array([0.0, 0.1, 0.2]))
         assert out.shape == (3,)
 
 

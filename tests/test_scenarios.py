@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from acidfront.core import ModelParameters
-from acidfront.errors import ConfigurationError
+from acidfront.errors import ConfigurationError, StabilityWarning
 from acidfront.mesh import Constant, PeriodicPiecewiseConstant, SingleJump, Sinusoidal, build_uniform_mesh
 from acidfront.scenarios import (
     PIECEWISE_LINEAR,
@@ -16,6 +18,7 @@ from acidfront.scenarios import (
     preset_names,
     render_config,
     run_config,
+    run_configs,
     run_scenario,
     summarize,
 )
@@ -93,6 +96,19 @@ class TestScenarioConfigValidation:
     def test_jump_outside_domain(self):
         with pytest.raises(ConfigurationError):
             small_config(profile=SingleJump(0.1, 1.0, 1.5))
+
+    def test_final_time_off_the_dt_grid(self):
+        # T = 1.5 dt would silently end at 2 dt
+        with pytest.raises(ConfigurationError, match="whole number of steps"):
+            small_config(T=0.015, snapshots=())
+
+    def test_snapshot_time_off_the_dt_grid(self):
+        with pytest.raises(ConfigurationError, match="whole number of steps"):
+            small_config(snapshots=(0.0, 0.255, 0.5))
+
+    def test_float_noise_stays_on_the_grid(self):
+        # 0.055 / 0.011 = 5.000000000000001
+        assert small_config(dt=0.011, T=0.055, snapshots=(0.0, 0.055)).T == 0.055
 
 
 class TestPresets:
@@ -256,6 +272,48 @@ class TestRunScenario:
         with pytest.warns(Warning):
             result = run_config(cfg)
         assert any("stability" in w for w in result.warnings)
+
+    def test_destructive_acid_stability_warning_recorded(self):
+        # d = 200 at dt = 0.01: the explicit healthy update dips below zero
+        cfg = dataclasses.replace(
+            preset("appendix-w200-a0.01-0.06-d200"), T=0.1, snapshots=()
+        )
+        with pytest.warns(StabilityWarning):
+            result = run_config(cfg)
+        assert any("stability" in w for w in result.warnings)
+
+
+class TestRunConfigs:
+    @pytest.mark.filterwarnings("ignore::acidfront.errors.StabilityWarning")
+    def test_batches_match_single_runs(self):
+        # two batches (dx 0.01 and 0.02), mixed initial kinds, profiles,
+        # parameters and observer flags, one run over the reaction limit
+        cfgs = [
+            small_config(snapshots=()),
+            small_config(dx=0.02, snapshots=()),
+            small_config(
+                params=ModelParameters(d=150.0, r=2.0, D=4e-5, c=30.0),
+                profile=Sinusoidal(0.1, 1.0, 50.0), initial=RIEMANN, snapshots=(),
+            ),
+            small_config(profile=SingleJump(1.0, 0.1, 0.625), wavespeed=False, snapshots=()),
+            small_config(dx=0.02, params=ModelParameters(d=0.5, r=1.0, D=4e-5, c=70.0), snapshots=()),
+        ]
+        for batched, cfg in zip(run_configs(cfgs), cfgs):
+            single = run_config(cfg)
+            assert batched.config == cfg
+            for name in ("u", "v", "w"):
+                assert np.array_equal(getattr(batched.final_state, name), getattr(single.final_state, name))
+            if cfg.wavespeed:
+                assert np.array_equal(batched.speed_series.thetas, single.speed_series.thetas)
+            else:
+                assert batched.speed_series is None
+            assert (batched.min_u, batched.min_v, batched.min_w) == (single.min_u, single.min_v, single.min_w)
+            assert batched.steps == single.steps
+            assert batched.warnings == single.warnings
+        assert any("stability" in w for w in run_configs(cfgs)[2].warnings)
+
+    def test_empty(self):
+        assert run_configs([]) == []
 
 
 class TestConvergenceStudy:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,9 +7,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from acidfront.core import ModelParameters
-from acidfront.errors import InstabilityError, StabilityWarning
+from acidfront.analysis import PositivityRecorder, WaveSpeedRecorder
+from acidfront.errors import FrontProximityWarning, InstabilityError, StabilityWarning
 from acidfront.mesh import (
     Constant,
+    PeriodicPiecewiseConstant,
     SingleJump,
     Sinusoidal,
     build_uniform_mesh,
@@ -113,6 +117,34 @@ class TestSimulationState:
         s = SimulationState(m, 0.0, np.zeros(4), np.zeros(4), np.zeros(4))
         with pytest.raises(ValueError):
             s.u[0] = 1.0
+
+    def test_batch_fields_must_share_shape(self):
+        m = build_uniform_mesh(0.0, 1.0, 0.25)
+        with pytest.raises(ValueError):
+            SimulationState(m, 0.0, np.zeros((2, 4)), np.zeros((2, 4)), np.zeros((3, 4)))
+        with pytest.raises(ValueError):
+            SimulationState(m, 0.0, np.zeros((2, 2, 4)), np.zeros((2, 2, 4)), np.zeros((2, 2, 4)))
+
+    def test_stack_and_unstack(self):
+        m = build_uniform_mesh(0.0, 1.0, 0.25)
+        a = SimulationState(m, 0.5, np.zeros(4), np.ones(4), np.full(4, 0.5))
+        b = SimulationState(m, 0.5, np.ones(4), np.zeros(4), np.full(4, 0.25))
+        assert SimulationState.stack([a]) is a
+        assert a.unstack() == (a,)
+        batch = SimulationState.stack([a, b])
+        assert batch.u.shape == (2, 4) and batch.time == 0.5
+        for single, row in zip((a, b), batch.unstack()):
+            for name in ("u", "v", "w"):
+                assert np.array_equal(getattr(row, name), getattr(single, name))
+
+    def test_stack_needs_one_mesh_and_time(self):
+        m = build_uniform_mesh(0.0, 1.0, 0.25)
+        other = build_uniform_mesh(0.0, 1.0, 0.25)
+        s = SimulationState(m, 0.0, np.zeros(4), np.zeros(4), np.zeros(4))
+        with pytest.raises(ValueError):
+            SimulationState.stack([s, SimulationState(other, 0.0, s.u, s.v, s.w)])
+        with pytest.raises(ValueError):
+            SimulationState.stack([s, SimulationState(m, 1.0, s.u, s.v, s.w)])
 
 
 class TestSolveTridiagonal:
@@ -286,6 +318,18 @@ class TestSemidiscreteRhs:
         _, dv, _ = semidiscrete_rhs(s, np.ones(5), p, SchemeOptions(dt=0.01))
         assert np.allclose(dv, [0.0, -1.0, 1.0, 0.0, 0.0], atol=1e-14)
 
+    @pytest.mark.parametrize("average", [ARITHMETIC, HARMONIC])
+    def test_diffusion_conserves_totals_on_nonuniform_mesh(self, average):
+        # flux form telescopes: with reactions off the width-weighted sums
+        # of dv and dw vanish
+        m = mesh_from_interfaces([0.0, 0.05, 0.2, 0.3, 0.55, 0.6, 1.0])
+        rng = np.random.default_rng(17)
+        s = SimulationState(m, 0.0, *rng.uniform(0.0, 1.0, (3, 6)))
+        p = raw_params(d=0.0, r=0.0, D=0.3, c=0.0)
+        _, dv, dw = semidiscrete_rhs(s, rng.uniform(0.1, 2.0, 6), p, SchemeOptions(0.01, average))
+        assert abs(np.sum(dv * m.widths)) <= 1e-14 * np.sum(np.abs(dv * m.widths))
+        assert abs(np.sum(dw * m.widths)) <= 1e-14 * np.sum(np.abs(dw * m.widths))
+
 
 class TestDiffusionOperator:
     def test_splitting_identity_on_uniform_mesh(self):
@@ -419,6 +463,37 @@ class TestRun:
     def test_reaction_limit_reference_value(self):
         assert reaction_step_limit(reference_params()) == pytest.approx(2.0 / 70.0)
 
+    def test_reaction_limit_counts_acid_destructiveness(self):
+        # u + dt*u*(1 - u - d*w) stays nonnegative under saturated acid only
+        # for dt <= 1/d
+        assert reaction_step_limit(ModelParameters(d=200.0, r=1.0, D=4e-5, c=70.0)) == 1.0 / 200.0
+        assert reaction_step_limit(raw_params(d=0.0, r=0.0, D=4e-5, c=0.0)) == 2.0
+
+    def test_batch_warns_for_each_run_over_the_limit(self):
+        m = build_uniform_mesh(0.0, 1.0, 0.05)
+        s = SimulationState(m, 0.0, np.ones(20), np.zeros(20), np.zeros(20))
+        batch = SimulationState.stack([s, s, s])
+        fast = ModelParameters(d=200.0, r=1.0, D=4e-5, c=70.0)
+        params = [reference_params(), fast, fast]
+        with pytest.warns(StabilityWarning) as caught:
+            run(batch, [Constant(1.0)] * 3, params, SchemeOptions(dt=0.01), T=0.01)
+        messages = [str(w.message) for w in caught if w.category is StabilityWarning]
+        assert len(messages) == 2
+        assert "run 1 " in messages[0] and "run 2 " in messages[1]
+
+    def test_batch_arguments_must_match_runs(self):
+        m = build_uniform_mesh(0.0, 1.0, 0.05)
+        s = SimulationState(m, 0.0, np.ones(20), np.zeros(20), np.zeros(20))
+        batch = SimulationState.stack([s, s])
+        opts = SchemeOptions(dt=0.01)
+        p = reference_params()
+        with pytest.raises(ValueError):
+            run(batch, [Constant(1.0)] * 2, [p], opts, T=0.01)
+        with pytest.raises(ValueError):
+            run(batch, [Constant(1.0)], [p, p], opts, T=0.01)
+        with pytest.raises(ValueError):
+            run(batch, [Constant(1.0)] * 2, [p, ModelParameters(d=1.0, r=1.0, D=1e-3, c=1.0)], opts, T=0.01)
+
 
 @st.composite
 def meshes(draw):
@@ -472,3 +547,76 @@ class TestOneStepper:
         assert out.time == expected.time
         for name in ("u", "v", "w"):
             assert np.array_equal(getattr(out, name), getattr(expected, name)), name
+
+
+@st.composite
+def batch_cases(draw):
+    mesh = build_uniform_mesh(0.0, 1.0, 1.0 / draw(st.integers(3, 40)))
+    n = mesh.n_cells
+    dt = draw(st.floats(0.005, 0.05))
+    D = draw(st.floats(1e-5, 0.5))
+    unit = hnp.arrays(float, n, elements=st.floats(0.0, 1.0))
+    profile = st.one_of(
+        st.builds(SingleJump, st.floats(0.01, 2.0), st.floats(0.01, 2.0), st.floats(0.05, 0.95)),
+        st.builds(Sinusoidal, st.just(0.05), st.floats(0.05, 2.0), st.floats(1.0, 200.0)),
+        st.builds(
+            PeriodicPiecewiseConstant,
+            st.floats(0.01, 2.0), st.floats(0.01, 2.0), st.floats(0.05, 0.95), st.floats(1.0, 50.0),
+        ),
+    )
+    states, profiles, params = [], [], []
+    for _ in range(draw(st.integers(1, 6))):
+        states.append(SimulationState(mesh, 0.0, draw(unit), draw(unit), draw(unit)))
+        profiles.append(draw(profile))
+        # (d, r, c) within the reaction limit of the shared dt
+        params.append(ModelParameters(
+            d=draw(st.floats(0.1, min(50.0, 1.0 / dt))),
+            r=draw(st.floats(0.1, min(20.0, 2.0 / dt))),
+            D=D,
+            c=draw(st.floats(0.1, min(100.0, 2.0 / dt))),
+        ))
+    opts = SchemeOptions(dt=dt, interface_average_w=draw(st.sampled_from([ARITHMETIC, HARMONIC])))
+    return states, profiles, params, opts, draw(st.integers(1, 6))
+
+
+def march(state, profile, p, opts, steps):
+    """Run with both recorders; also counts the front-proximity warnings."""
+    speed = WaveSpeedRecorder(state.mesh, opts.dt)
+    low = PositivityRecorder(state)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        final = run(state, profile, p, opts, T=steps * opts.dt, observers=[speed, low])
+    fronts = sum(issubclass(w.category, FrontProximityWarning) for w in caught)
+    return final, speed, low, fronts
+
+
+class TestBatch:
+    @settings(max_examples=60, deadline=None)
+    @given(batch_cases())
+    def test_batch_equals_single_runs(self, case):
+        # zeroed junction couplings make the block-diagonal batch reproduce
+        # each run on its own bit for bit
+        states, profiles, params, opts, steps = case
+        stacked = SimulationState.stack(states)
+        try:
+            singles = [march(*run_args, opts, steps) for run_args in zip(states, profiles, params)]
+        except InstabilityError:
+            # a batch breaks down when any of its runs does
+            with pytest.raises(InstabilityError):
+                march(stacked, profiles, params, opts, steps)
+            return
+        batch, speed, low, fronts = march(stacked, profiles, params, opts, steps)
+        runs = (len(states),)
+        assert fronts == sum(single[3] for single in singles)
+        near = np.broadcast_to(speed.front_near_boundary, runs)
+        minima = {name: np.broadcast_to(getattr(low, name), runs) for name in ("min_u", "min_v", "min_w")}
+        for b, (final, single_speed, single_low, _) in enumerate(singles):
+            block = batch.unstack()[b]
+            assert block.time == final.time
+            for name in ("u", "v", "w"):
+                assert np.array_equal(getattr(block, name), getattr(final, name)), name
+            assert np.array_equal(speed.series(b).thetas, single_speed.series().thetas)
+            assert np.array_equal(speed.series(b).times, single_speed.series().times)
+            for name, values in minima.items():
+                assert values[b] == getattr(single_low, name), name
+            assert near[b] == single_speed.front_near_boundary
