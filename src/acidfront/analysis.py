@@ -4,8 +4,10 @@ classification, and the homogenization comparison for periodic diffusivities.
 The propagation speed of a front-shaped field is estimated per step by the
 LeVeque-Yee space-averaged formula: the change of the field's total mass
 between two steps, divided by the jump between its far-field states, gives
-the distance the front moved.  Asymptotic speeds are read off as the mean
-over a trailing window of the per-step series.
+the distance the front moved.  Fixed choices are module constants: speeds
+are averaged over the trailing quarter of the series (TAIL_FRACTION), the
+gap is where u and v both sit below 0.01 (GAP_THRESHOLD), and a front within
+10 cells of either end (BOUNDARY_MARGIN) spoils the speed estimate.
 """
 
 from __future__ import annotations
@@ -26,8 +28,15 @@ from .scheme import SimulationState
 # residual behind the front is only meaningful where tissue ever existed.
 _SEEDED_FLOOR = 1e-6
 
-DEFAULT_GAP_THRESHOLD = 0.01
-DEFAULT_TAIL_FRACTION = 0.25
+# v behind and ahead of the tumour front (core.asymptotic_states, any d).
+V_INVADED, V_INTACT = 1.0, 0.0
+
+GAP_THRESHOLD = 0.01
+TAIL_FRACTION = 0.25
+BOUNDARY_MARGIN = 10
+
+# How close the healthy residual must come to 1 - d, or to 0.
+_RESIDUAL_TOL = 0.05
 
 # Verdict tolerances calibrated on the reference benchmark matrix: the
 # asymptotic-speed gap of the one marginal non-homogenized case measures
@@ -39,25 +48,16 @@ DEFAULT_HOMOGENIZATION_OSC_TOL = 0.10
 
 @dataclass(frozen=True)
 class WaveSpeedSeries:
-    """Per-step speed estimates with their time stamps.
-
-    ``tail_fraction`` is the trailing fraction of the series used for
-    asymptotic averaging.
-    """
+    """Per-step speed estimates with their time stamps."""
 
     thetas: np.ndarray
     times: np.ndarray
-    tail_fraction: float = DEFAULT_TAIL_FRACTION
 
     def __post_init__(self):
         thetas = np.asarray(self.thetas, dtype=float)
         times = np.asarray(self.times, dtype=float)
         if thetas.shape != times.shape or thetas.ndim != 1:
             raise ValueError("thetas and times must be 1-D arrays of equal length")
-        if not 0.0 < self.tail_fraction <= 1.0:
-            raise ValueError(
-                f"tail_fraction must be in (0, 1], got {self.tail_fraction!r}"
-            )
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "times", times)
 
@@ -114,7 +114,7 @@ def tail_speed(series: WaveSpeedSeries) -> tuple[float, float]:
     n = len(series)
     if n == 0:
         raise ValueError("empty wave-speed series")
-    k = max(1, math.ceil(series.tail_fraction * n))
+    k = max(1, math.ceil(TAIL_FRACTION * n))
     tail = series.thetas[-k:]
     mean = float(tail.mean())
     ptp = float(tail.max() - tail.min())
@@ -128,30 +128,18 @@ class WaveSpeedRecorder:
     front, one series per run of a batch.
 
     Warns once per run if its front (the 0.5-crossing of v) comes within
-    ``boundary_margin`` cells of either end, where the Neumann closure
-    starts to pollute the estimate; ``front_near_boundary`` says which runs
-    did (a bool for a single run, one per run for a batch).
+    BOUNDARY_MARGIN cells of either end, where the Neumann closure starts
+    to pollute the estimate; ``front_near_boundary`` says which runs did (a
+    bool for a single run, one per run for a batch).
     """
 
-    def __init__(
-        self,
-        mesh: Mesh,
-        dt: float,
-        v_minus: float = 1.0,
-        v_plus: float = 0.0,
-        tail_fraction: float = DEFAULT_TAIL_FRACTION,
-        boundary_margin: int = 10,
-    ):
+    def __init__(self, mesh: Mesh, dt: float):
         self._dx = mesh.dx
         self._dt = dt
-        self._v_minus = v_minus
-        self._v_plus = v_plus
-        self._tail_fraction = tail_fraction
-        self._margin = boundary_margin
         # Cells within the margin of the right end, and of the left end
         # after the first cell.
-        self._right = slice(max(mesh.n_cells - boundary_margin, 0), None)
-        self._left = slice(1, boundary_margin)
+        self._right = slice(max(mesh.n_cells - BOUNDARY_MARGIN, 0), None)
+        self._left = slice(1, BOUNDARY_MARGIN)
         self._thetas: list = []
         self._times: list[float] = []
         self.front_near_boundary = np.False_
@@ -159,7 +147,7 @@ class WaveSpeedRecorder:
     def __call__(self, step: int, previous: SimulationState, current: SimulationState):
         v = current.v
         self._thetas.append(
-            leveque_yee_step(previous.v, v, self._dx, self._dt, self._v_minus, self._v_plus)
+            leveque_yee_step(previous.v, v, self._dx, self._dt, V_INVADED, V_INTACT)
         )
         self._times.append(current.time)
         # Only a genuine 0.5-crossing counts as a front; an invaded plateau
@@ -176,7 +164,7 @@ class WaveSpeedRecorder:
         for run in np.flatnonzero(new):
             which = f" of run {run}" if v.ndim > 1 else ""
             warnings.warn(
-                f"tumour front{which} within {self._margin} cells of the domain "
+                f"tumour front{which} within {BOUNDARY_MARGIN} cells of the domain "
                 f"boundary at t={current.time!r}; speed estimates are "
                 "unreliable from here on",
                 FrontProximityWarning,
@@ -189,34 +177,22 @@ class WaveSpeedRecorder:
         return WaveSpeedSeries(
             thetas=thetas[:, run] if thetas.ndim == 2 else thetas,
             times=np.array(self._times),
-            tail_fraction=self._tail_fraction,
         )
 
 
 class PositivityRecorder:
     """Run observer tracking the minimum of each field over all steps.
 
-    Keeps cellwise running minima and reduces them over the cells when read,
-    so ``min_u``, ``min_v`` and ``min_w`` are floats for a single run and
-    hold one value per run for a batch (inf before any state is seen).
+    Keeps cellwise running minima from the ``initial`` state on and reduces
+    them over the cells when read, so ``min_u``, ``min_v`` and ``min_w`` are
+    floats for a single run and hold one value per run for a batch.
     """
 
-    def __init__(self, initial: SimulationState | None = None):
-        self._minima = None
-        if initial is not None:
-            self._update(initial)
-
-    def _update(self, state: SimulationState):
-        if self._minima is None:
-            self._minima = (state.u.copy(), state.v.copy(), state.w.copy())
-            return
-        min_u, min_v, min_w = self._minima
-        np.minimum(min_u, state.u, out=min_u)
-        np.minimum(min_v, state.v, out=min_v)
-        np.minimum(min_w, state.w, out=min_w)
+    def __init__(self, initial: SimulationState):
+        self._minima = (initial.u.copy(), initial.v.copy(), initial.w.copy())
 
     def _least(self, field: int):
-        return math.inf if self._minima is None else self._minima[field].min(axis=-1)
+        return self._minima[field].min(axis=-1)
 
     @property
     def min_u(self):
@@ -231,22 +207,23 @@ class PositivityRecorder:
         return self._least(2)
 
     def __call__(self, step: int, previous: SimulationState, current: SimulationState):
-        self._update(current)
+        min_u, min_v, min_w = self._minima
+        np.minimum(min_u, current.u, out=min_u)
+        np.minimum(min_v, current.v, out=min_v)
+        np.minimum(min_w, current.w, out=min_w)
 
 
-def detect_gap(s: SimulationState, threshold: float = DEFAULT_GAP_THRESHOLD) -> GapReport:
+def detect_gap(s: SimulationState) -> GapReport:
     """Locate the widest contiguous zone where both u and v sit below
-    ``threshold`` (the interstitial gap between the receding healthy front
+    GAP_THRESHOLD (the interstitial gap between the receding healthy front
     and the advancing tumour front).
 
     A single qualifying cell has zero center-to-center width and does not
     count as a gap.
     """
-    if not 0.0 < threshold < 0.5:
-        raise ValueError(f"gap threshold must be in (0, 0.5), got {threshold!r}")
-    mask = (s.u < threshold) & (s.v < threshold)
+    mask = (s.u < GAP_THRESHOLD) & (s.v < GAP_THRESHOLD)
     if not mask.any():
-        return GapReport(False, math.nan, math.nan, 0.0, threshold)
+        return GapReport(False, math.nan, math.nan, 0.0, GAP_THRESHOLD)
     # Longest run of consecutive True cells.
     padded = np.concatenate(([False], mask, [False]))
     edges = np.flatnonzero(np.diff(padded.astype(np.int8)))
@@ -256,10 +233,10 @@ def detect_gap(s: SimulationState, threshold: float = DEFAULT_GAP_THRESHOLD) -> 
     left = float(s.mesh.centers[first])
     right = float(s.mesh.centers[last])
     width = right - left
-    return GapReport(width > 0.0, left, right, width, threshold)
+    return GapReport(width > 0.0, left, right, width, GAP_THRESHOLD)
 
 
-def classify_invasion(s: SimulationState, d: float, tol: float = 0.05) -> InvasionRegime:
+def classify_invasion(s: SimulationState, d: float) -> InvasionRegime:
     """Sort a front state into heterogeneous, hybrid, or homogeneous invasion.
 
     The healthy residual is sampled over invaded cells (v >= 0.95, falling
@@ -278,9 +255,9 @@ def classify_invasion(s: SimulationState, d: float, tol: float = 0.05) -> Invasi
         invaded = v >= 0.5
     sampled = invaded & (s.u > _SEEDED_FLOOR)
     residual = float(np.quantile(s.u[sampled], 0.1)) if sampled.any() else 0.0
-    if d < 1.0 and abs(residual - (1.0 - d)) <= tol:
+    if d < 1.0 and abs(residual - (1.0 - d)) <= _RESIDUAL_TOL:
         return InvasionRegime.HETEROGENEOUS
-    if residual < tol and detect_gap(s).present:
+    if residual < _RESIDUAL_TOL and detect_gap(s).present:
         return InvasionRegime.HOMOGENEOUS
     return InvasionRegime.HYBRID
 

@@ -133,10 +133,6 @@ class DiffusionProfile:
         """Exact integral average of A over every cell of ``mesh``."""
         raise NotImplementedError
 
-    def bounds(self) -> tuple[float, float]:
-        """Lower and upper bounds of A over the real line."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Constant(DiffusionProfile):
@@ -153,9 +149,6 @@ class Constant(DiffusionProfile):
 
     def cell_averages(self, mesh):
         return np.full(mesh.n_cells, self.a)
-
-    def bounds(self):
-        return (self.a, self.a)
 
 
 @dataclass(frozen=True)
@@ -186,9 +179,6 @@ class SingleJump(DiffusionProfile):
         # Exact piecewise integration: split each cell at the jump.
         left_len = np.clip(self.x_jump - mesh.interfaces[:-1], 0.0, mesh.widths)
         return (self.a1 * left_len + self.a2 * (mesh.widths - left_len)) / mesh.widths
-
-    def bounds(self):
-        return (min(self.a1, self.a2), max(self.a1, self.a2))
 
 
 @dataclass(frozen=True)
@@ -241,9 +231,6 @@ class PeriodicPiecewiseConstant(DiffusionProfile):
         prim = self._antiderivative(mesh.interfaces)
         return np.diff(prim) / mesh.widths
 
-    def bounds(self):
-        return (min(self.alpha0, self.alpha1), max(self.alpha0, self.alpha1))
-
 
 @dataclass(frozen=True)
 class Sinusoidal(DiffusionProfile):
@@ -287,25 +274,28 @@ class Sinusoidal(DiffusionProfile):
         osc = (cos[:-1] - cos[1:]) / (self.omega * mesh.widths)
         return self._mean + self._half_amplitude * osc
 
-    def bounds(self):
-        return (self.alpha0, self.alpha1)
+
+def aliasing_multiple(width: float, profile: DiffusionProfile) -> int:
+    """The multiple of a periodic profile's period that ``width`` sits within
+    5% of, else 0.  Cells that wide sample every period at the same phase,
+    so the projected averages degenerate to near-constants."""
+    if profile.period is None:
+        return 0
+    ratio = width / profile.period
+    nearest = round(ratio)
+    return nearest if nearest >= 1 and abs(ratio - nearest) <= 0.05 * nearest else 0
 
 
 def project_cell_averages(profile: DiffusionProfile, mesh: Mesh) -> np.ndarray:
-    """Exact per-cell integral averages of A on ``mesh``.
-
-    Warns when the cell width sits within 5% of an integer multiple of an
-    oscillatory profile's period: such a mesh samples every period at the
-    same phase and the projected averages degenerate to near-constants.
-    """
-    if profile.period is not None:
-        ratio = float(mesh.widths.max()) / profile.period
-        nearest = round(ratio)
-        if nearest >= 1 and abs(ratio - nearest) <= 0.05 * nearest:
-            warnings.warn(
-                f"cell width ~ {nearest} x profile period (ratio {ratio:.4g}); "
-                "oscillations of the diffusivity will alias on this mesh",
-                ResolutionWarning,
-                stacklevel=2,
-            )
+    """Exact per-cell integral averages of A on ``mesh``; warns when the
+    widest cell aliases an oscillatory profile (``aliasing_multiple``)."""
+    width = float(mesh.widths.max())
+    nearest = aliasing_multiple(width, profile)
+    if nearest:
+        warnings.warn(
+            f"cell width ~ {nearest} x profile period (ratio {width / profile.period:.4g}); "
+            "oscillations of the diffusivity will alias on this mesh",
+            ResolutionWarning,
+            stacklevel=2,
+        )
     return profile.cell_averages(mesh)

@@ -1,10 +1,15 @@
 """Scenario catalog, configuration files, experiment drivers, and file output.
 
 A scenario bundles model parameters, a diffusivity profile, the initial
-profile kind, and the space-time grid.  The preset catalog reproduces the
-reference experiments: the homogeneous-diffusivity baseline (four
-destructiveness regimes), single-jump and periodic diffusivities, the
-fast-growth variant, and the 12-row homogenization benchmark matrix.
+profile kind, and a finite space-time grid whose final time and snapshot
+times are whole numbers of steps dt (the final time at least one).  Its
+wavespeed, gap and classification switches turn diagnostics on or off; the
+thresholds of those are fixed constants of ``analysis``.
+
+The preset catalog reproduces the reference experiments: the
+homogeneous-diffusivity baseline (four destructiveness regimes), single-jump
+and periodic diffusivities, the fast-growth variant, and the 12-row
+homogenization benchmark matrix.
 
 All file output is deterministic: CSV floats carry 17 significant digits
 and summaries are flat key=value text.
@@ -42,16 +47,19 @@ from .mesh import (
     PeriodicPiecewiseConstant,
     Sinusoidal,
     SingleJump,
+    aliasing_multiple,
     build_uniform_mesh,
     project_cell_averages,
 )
 from .scheme import (
+    GRID_TOL,
     SchemeOptions,
     SimulationState,
     assemble_implicit_w,
     reaction_step_limit,
     run,
     solve_tridiagonal,
+    step_count,
 )
 
 RIEMANN = "riemann"
@@ -59,13 +67,9 @@ PIECEWISE_LINEAR = "piecewise_linear"
 
 _FLOAT_FMT = "%.17g"
 
-# How far T/dt (or t_snap/dt) may sit from a whole number of steps.
-_GRID_TOL = 1e-9
-
 
 def _off_grid(t: float, dt: float) -> bool:
-    steps = t / dt
-    return abs(steps - round(steps)) > _GRID_TOL
+    return abs(t / dt - step_count(0.0, t, dt)) > GRID_TOL
 
 
 @dataclass(frozen=True)
@@ -91,6 +95,9 @@ class ScenarioConfig:
                 f"unknown initial profile kind {self.initial!r} "
                 f"(choose {RIEMANN!r} or {PIECEWISE_LINEAR!r})"
             )
+        for name in ("xmin", "xmax", "dx", "dt", "T"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.xmax > self.xmin:
             raise ConfigurationError(
                 f"degenerate domain [{self.xmin!r}, {self.xmax!r}]"
@@ -101,6 +108,10 @@ class ScenarioConfig:
             )
         if not self.T > 0.0:
             raise ConfigurationError(f"final time must be positive, got {self.T!r}")
+        if step_count(0.0, self.T, self.dt) == 0:
+            raise ConfigurationError(
+                f"final time {self.T!r} is shorter than one step dt={self.dt!r}"
+            )
         if _off_grid(self.T, self.dt):
             raise ConfigurationError(
                 f"final time {self.T!r} is not a whole number of steps dt={self.dt!r}"
@@ -126,14 +137,14 @@ class ScenarioConfig:
         return build_uniform_mesh(self.xmin, self.xmax, self.dx)
 
 
-def initial_state(kind: str, m: Mesh, x0: float | None = None, x1: float | None = None) -> SimulationState:
+def initial_state(kind: str, m: Mesh) -> SimulationState:
     """Initial fields on ``m``: a tumour core on the left, complementary
     healthy tissue (u = 1 - v), no acid.
 
     ``riemann`` drops v from 1 to 0 at L/4 (in-vitro inoculation with a
     sharp edge); ``piecewise_linear`` keeps the core at full density up to
-    x0 and ramps linearly to zero at x1 (gradual in-vivo development),
-    defaults x0 = L/8 and x1 = 3L/8, where L is the right end of the mesh.
+    L/8 and ramps linearly to zero at 3L/8 (gradual in-vivo development),
+    where L is the right end of the mesh.
     """
     L = m.xmax
     x = m.centers
@@ -146,8 +157,7 @@ def initial_state(kind: str, m: Mesh, x0: float | None = None, x1: float | None 
             )
         v = np.where(x < jump, 1.0, 0.0)
     elif kind == PIECEWISE_LINEAR:
-        x0 = 0.125 * L if x0 is None else x0
-        x1 = 0.375 * L if x1 is None else x1
+        x0, x1 = 0.125 * L, 0.375 * L
         if not (m.xmin < x0 < x1 < m.xmax):
             raise ConfigurationError(
                 f"initial ramp [{x0!r}, {x1!r}] does not fit inside the mesh "
@@ -485,25 +495,28 @@ class RunSummary:
 
 
 class SnapshotWriter:
-    """Run observer writing x,u,v,w CSV snapshots at requested times."""
+    """Run observer writing x,u,v,w CSV snapshots at requested times, which
+    must be whole numbers of steps dt; each is written at its step (a time
+    of 0 from the state before the first step)."""
 
-    def __init__(self, outdir: Path, times, mesh: Mesh):
+    def __init__(self, outdir: Path, times, dt: float):
         self._outdir = Path(outdir)
-        self._pending = sorted(t for t in times if t > 0.0)
-        self._mesh = mesh
+        self._times = {round(t / dt): t for t in times}
 
     def write(self, state: SimulationState, label_time: float):
         path = self._outdir / f"snapshot_t{label_time:g}.csv"
         with open(path, "w") as fh:
             fh.write("x,u,v,w\n")
-            for x, u, v, w in zip(self._mesh.centers, state.u, state.v, state.w):
+            for x, u, v, w in zip(state.mesh.centers, state.u, state.v, state.w):
                 fh.write(
                     f"{_FLOAT_FMT % x},{_FLOAT_FMT % u},{_FLOAT_FMT % v},{_FLOAT_FMT % w}\n"
                 )
 
     def __call__(self, step: int, previous: SimulationState, current: SimulationState):
-        while self._pending and current.time >= self._pending[0] - 1e-9:
-            self.write(current, self._pending.pop(0))
+        if step == 0 and 0 in self._times:
+            self.write(previous, self._times[0])
+        if step + 1 in self._times:
+            self.write(current, self._times[step + 1])
 
 
 def _run_warnings(cfg: ScenarioConfig, front_near_boundary) -> tuple[str, ...]:
@@ -513,14 +526,10 @@ def _run_warnings(cfg: ScenarioConfig, front_near_boundary) -> tuple[str, ...]:
         run_warnings.append(
             f"dt={cfg.dt!r} exceeds the explicit reaction stability heuristic {limit!r}"
         )
-    if cfg.profile.period is not None:
-        ratio = cfg.dx / cfg.profile.period
-        nearest = round(ratio)
-        if nearest >= 1 and abs(ratio - nearest) <= 0.05 * nearest:
-            run_warnings.append(
-                f"cell width ~ {nearest} x diffusivity period; oscillations alias"
-            )
-    if front_near_boundary:
+    nearest = aliasing_multiple(cfg.dx, cfg.profile)
+    if nearest:
+        run_warnings.append(f"cell width ~ {nearest} x diffusivity period; oscillations alias")
+    if cfg.wavespeed and front_near_boundary:
         run_warnings.append("tumour front approached the domain boundary")
     return tuple(run_warnings)
 
@@ -561,7 +570,7 @@ def _run_batch(cfgs, extra_observers=()) -> list[RunResult]:
         np.broadcast_to(m, runs) for m in (positivity.min_u, positivity.min_v, positivity.min_w)
     )
     near = np.broadcast_to(recorder.front_near_boundary if recorder is not None else False, runs)
-    steps = max(0, math.ceil((first.T - state0.time) / first.dt - 1e-9))
+    steps = step_count(state0.time, first.T, first.dt)
     return [
         RunResult(
             config=cfg,
@@ -628,10 +637,7 @@ def run_scenario(cfg: ScenarioConfig, outdir) -> RunSummary:
     key=value summary under ``outdir``."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    mesh = cfg.mesh()
-    writer = SnapshotWriter(outdir, cfg.snapshots, mesh)
-    if any(t <= 1e-9 for t in cfg.snapshots):
-        writer.write(initial_state(cfg.initial, mesh), 0.0)
+    writer = SnapshotWriter(outdir, cfg.snapshots, cfg.dt)
     result = run_config(cfg, extra_observers=(writer,))
 
     if result.speed_series is not None:
@@ -732,9 +738,10 @@ def _manufactured_fields(c: float):
     return exact, tumour_source
 
 
-def convergence_study(levels: int = 4, base_dx: float = 0.05, T: float = 0.25):
+def convergence_study(levels: int):
     """Max-norm error of the acid update against a smooth manufactured
-    solution, halving dx ``levels`` times with dt proportional to dx^2.
+    solution at T = 0.25, halving dx = 0.05 ``levels`` times with dt
+    proportional to dx^2.
 
     Exercises the production path (explicit kinetics + implicit diffusion
     solve) with the oscillatory coefficient A in [0.4, 0.6].  Returns a list
@@ -742,7 +749,7 @@ def convergence_study(levels: int = 4, base_dx: float = 0.05, T: float = 0.25):
     """
     if levels < 1:
         raise ConfigurationError(f"need at least one refinement, got {levels!r}")
-    c = 1.0
+    c, base_dx, T = 1.0, 0.05, 0.25
     exact, tumour_source = _manufactured_fields(c)
     profile = Sinusoidal(0.4, 0.6, 10.0)
     rows = []

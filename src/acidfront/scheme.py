@@ -45,6 +45,10 @@ from .mesh import DiffusionProfile, Mesh, project_cell_averages
 ARITHMETIC = "arithmetic"
 HARMONIC = "harmonic"
 
+# How far a step count (T - t0)/dt may sit from a whole number and still
+# count as that number (float noise: 0.055/0.011 = 5.000000000000001).
+GRID_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SchemeOptions:
@@ -409,16 +413,25 @@ def step_imex(
 
 
 def reaction_step_limit(p: ModelParameters) -> float:
-    """Largest dt the explicit reaction stage tolerates, heuristically.
+    """Largest dt for which the explicit reaction stage keeps densities in
+    [0, 1].
 
-    The stiffest linearized reaction rate among the three equations is
-    max(1, r, c); explicit Euler on q' = -k q is stable for dt <= 2/k.  The
-    healthy update u + dt*u*(1 - u - d*w) also stays nonnegative only while
-    dt*(d*w + u - 1) <= 1, which is about dt <= 1/d once the acid saturates
-    (w ~ 1), so the limit is min(2/max(1, r, c), 1/d) (no 1/d term for d = 0).
+    From u, v, w in [0, 1], one explicit Euler stage stays in [0, 1] while
+    dt*max(1, r, c) <= 1 (each logistic or relaxation update is then a
+    monotone map of [0, 1] into itself) and dt*d <= 1 (the healthy update
+    u*(1 + dt*(1 - u - d*w)) stays nonnegative under saturated acid, w = 1).
+    Each implicit diffusion solve is an M-matrix solve with unit row sums,
+    so it keeps the range.  Hence the limit min(1/max(1, r, c), 1/d) (no
+    1/d term for d = 0).
     """
-    limit = 2.0 / max(1.0, p.r, p.c)
+    limit = 1.0 / max(1.0, p.r, p.c)
     return min(limit, 1.0 / p.d) if p.d > 0.0 else limit
+
+
+def step_count(t0: float, T: float, dt: float) -> int:
+    """Steps of size dt from t0 to T: ceil((T - t0)/dt), where a quotient
+    within GRID_TOL of a whole number counts as that number."""
+    return max(0, math.ceil((T - t0) / dt - GRID_TOL))
 
 
 def run(
@@ -434,7 +447,7 @@ def run(
     A batch state (fields of shape (B, N)) takes one diffusivity profile and
     one ModelParameters per run, as sequences of length B, and marches all B
     runs in one block-diagonal system; they must share D.  Takes
-    ceil((T - t0)/dt) steps; each observer is called as
+    step_count(t0, T, dt) steps; each observer is called as
     ``observer(step_index, previous_state, new_state)`` after every step.
     Instability aborts the run with the failing step index and time.
     """
@@ -446,14 +459,15 @@ def run(
         if opts.dt > limit:
             which = f" (run {k} of the batch)" if len(params) > 1 else ""
             warnings.warn(
-                f"dt={opts.dt!r} exceeds the explicit reaction stability "
-                f"heuristic min(2/max(1, r, c), 1/d) = {limit!r}{which}",
+                f"dt={opts.dt!r} exceeds the explicit reaction limit "
+                f"min(1/max(1, r, c), 1/d) = {limit!r}{which}; densities "
+                "may leave [0, 1]",
                 StabilityWarning,
                 stacklevel=2,
             )
     A_cells = [project_cell_averages(a, s0.mesh) for a in _per_run(A, DiffusionProfile)]
     mesh, kinetics, acid_lu = _prepare(s0, np.concatenate(A_cells), params, opts)
-    n_steps = max(0, math.ceil((T - s0.time) / opts.dt - 1e-9))
+    n_steps = step_count(s0.time, T, opts.dt)
     block, dt, shape = s0.mesh.n_cells, opts.dt, s0.u.shape
     u, v, w = s0.u.ravel(), s0.v.ravel(), s0.w.ravel()
     state = s0

@@ -81,6 +81,13 @@ class TestSimulate:
         assert rc == 1
         assert "whole number of steps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", [("--dt", "inf"), ("--T", "1e-12"), ("--T", "inf")])
+    def test_no_step_or_non_finite_grid_rejected(self, tmp_path, capsys, override):
+        # these used to exit 0 with steps=0, or crash with an OverflowError
+        rc = main(["simulate", "table1-d12.5", *override, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_overrides(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
         write_small_config(cfg_path)
