@@ -101,7 +101,8 @@ def leveque_yee_step(v_prev, v_next, dx: float, dt: float, v_minus: float, v_plu
     """One-step LeVeque-Yee speed estimate on a uniform mesh.
 
     theta = (dx/dt) * sum_i(v_next_i - v_prev_i) / (v_minus - v_plus), summed
-    over the last axis: one estimate per run for (B, N) batch fields.
+    over the last axis: one estimate per run for (B, N) batch fields, and per
+    step and run for the consecutive rows of a block of steps.
     """
     if v_minus == v_plus:
         raise ValueError("far-field states coincide; the speed estimate is undefined")
@@ -125,7 +126,10 @@ def tail_speed(series: WaveSpeedSeries) -> tuple[float, float]:
 
 class WaveSpeedRecorder:
     """Run observer accumulating the per-step speed estimates of the tumour
-    front, one series per run of a batch.
+    front, one series per run of a batch.  Like every observer of
+    ``scheme.run`` it is called once per block of steps, and it takes the
+    speed increments and the front position of the whole block in one
+    vectorised pass.
 
     Warns once per run if its front (the 0.5-crossing of v) comes within
     BOUNDARY_MARGIN cells of either end, where the Neumann closure starts
@@ -140,32 +144,37 @@ class WaveSpeedRecorder:
         # after the first cell.
         self._right = slice(max(mesh.n_cells - BOUNDARY_MARGIN, 0), None)
         self._left = slice(1, BOUNDARY_MARGIN)
-        self._thetas: list = []
-        self._times: list[float] = []
+        self._thetas: list[np.ndarray] = []
+        self._times: list[np.ndarray] = []
         self.front_near_boundary = np.False_
 
-    def __call__(self, step: int, previous: SimulationState, current: SimulationState):
-        v = current.v
+    def __call__(self, first_step: int, times: np.ndarray, fields: np.ndarray):
+        v = fields[:, 1]
         self._thetas.append(
-            leveque_yee_step(previous.v, v, self._dx, self._dt, V_INVADED, V_INTACT)
+            leveque_yee_step(v[:-1], v[1:], self._dx, self._dt, V_INVADED, V_INTACT)
         )
-        self._times.append(current.time)
+        self._times.append(times[1:].copy())
         # Only a genuine 0.5-crossing counts as a front; an invaded plateau
         # reaching into a boundary (e.g. the initial core at the left end)
         # is not one, hence the first cell must lie below 0.5.
+        v = v[1:]
         peak = np.maximum.reduce
         near = (peak(v[..., self._right], axis=-1) >= 0.5) | (
             (v[..., 0] < 0.5) & (peak(v[..., self._left], axis=-1) >= 0.5)
         )
         if not near.any():
             return
-        new = near & ~self.front_near_boundary
-        self.front_near_boundary = self.front_near_boundary | near
-        for run in np.flatnonzero(new):
-            which = f" of run {run}" if v.ndim > 1 else ""
+        reached = near.any(axis=0)
+        new = np.atleast_1d(reached & ~self.front_near_boundary)
+        self.front_near_boundary = self.front_near_boundary | reached
+        # Warn in step order, as the runs first came near.
+        row = np.atleast_1d(near.argmax(axis=0))
+        runs = np.flatnonzero(new)
+        for run in runs[np.argsort(row[runs], kind="stable")]:
+            which = f" of run {run}" if v.ndim > 2 else ""
             warnings.warn(
                 f"tumour front{which} within {BOUNDARY_MARGIN} cells of the domain "
-                f"boundary at t={current.time!r}; speed estimates are "
+                f"boundary at t={float(times[1 + row[run]])!r}; speed estimates are "
                 "unreliable from here on",
                 FrontProximityWarning,
                 stacklevel=2,
@@ -173,23 +182,24 @@ class WaveSpeedRecorder:
 
     def series(self, run: int = 0) -> WaveSpeedSeries:
         """The speed series of one run of a batch (of the run, for one)."""
-        thetas = np.array(self._thetas, dtype=float)
+        thetas = np.concatenate(self._thetas) if self._thetas else np.empty(0)
         return WaveSpeedSeries(
             thetas=thetas[:, run] if thetas.ndim == 2 else thetas,
-            times=np.array(self._times),
+            times=np.concatenate(self._times) if self._times else np.empty(0),
         )
 
 
 class PositivityRecorder:
     """Run observer tracking the minimum of each field over all steps.
 
-    Keeps cellwise running minima from the ``initial`` state on and reduces
-    them over the cells when read, so ``min_u``, ``min_v`` and ``min_w`` are
-    floats for a single run and hold one value per run for a batch.
+    Keeps cellwise running minima from the ``initial`` state on, folds in
+    each block of steps it is shown, and reduces them over the cells when
+    read, so ``min_u``, ``min_v`` and ``min_w`` are floats for a single run
+    and hold one value per run for a batch.
     """
 
     def __init__(self, initial: SimulationState):
-        self._minima = (initial.u.copy(), initial.v.copy(), initial.w.copy())
+        self._minima = np.stack((initial.u, initial.v, initial.w))
 
     def _least(self, field: int):
         return self._minima[field].min(axis=-1)
@@ -206,11 +216,8 @@ class PositivityRecorder:
     def min_w(self):
         return self._least(2)
 
-    def __call__(self, step: int, previous: SimulationState, current: SimulationState):
-        min_u, min_v, min_w = self._minima
-        np.minimum(min_u, current.u, out=min_u)
-        np.minimum(min_v, current.v, out=min_v)
-        np.minimum(min_w, current.w, out=min_w)
+    def __call__(self, first_step: int, times: np.ndarray, fields: np.ndarray):
+        np.minimum(self._minima, fields[1:].min(axis=0), out=self._minima)
 
 
 def detect_gap(s: SimulationState) -> GapReport:

@@ -69,9 +69,10 @@ class ModelParameters:
     def __post_init__(self):
         for name in ("d", "r", "D", "c"):
             value = getattr(self, name)
-            if not value > 0.0:
+            if not 0.0 < value < math.inf:
                 raise ValueError(
-                    f"model parameter {name} must be strictly positive, got {value!r}"
+                    f"model parameter {name} must be finite and strictly positive, "
+                    f"got {value!r}"
                 )
         if self.D >= 1.0:
             warnings.warn(

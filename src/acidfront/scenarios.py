@@ -495,28 +495,30 @@ class RunSummary:
 
 
 class SnapshotWriter:
-    """Run observer writing x,u,v,w CSV snapshots at requested times, which
-    must be whole numbers of steps dt; each is written at its step (a time
-    of 0 from the state before the first step)."""
+    """Run observer writing x,u,v,w CSV snapshots of a single run on
+    ``mesh`` at requested times, which must be whole numbers of steps dt;
+    each is written from the state after its step (a time of 0 from the
+    state the run starts from)."""
 
-    def __init__(self, outdir: Path, times, dt: float):
+    def __init__(self, outdir: Path, mesh: Mesh, times, dt: float):
         self._outdir = Path(outdir)
-        self._times = {round(t / dt): t for t in times}
+        self._centers = mesh.centers
+        self._pending = {round(t / dt): t for t in times}
 
-    def write(self, state: SimulationState, label_time: float):
+    def write(self, fields: np.ndarray, label_time: float):
+        """Write the (3, N) fields u, v, w as the snapshot at ``label_time``."""
         path = self._outdir / f"snapshot_t{label_time:g}.csv"
         with open(path, "w") as fh:
             fh.write("x,u,v,w\n")
-            for x, u, v, w in zip(state.mesh.centers, state.u, state.v, state.w):
+            for x, u, v, w in zip(self._centers, *fields):
                 fh.write(
                     f"{_FLOAT_FMT % x},{_FLOAT_FMT % u},{_FLOAT_FMT % v},{_FLOAT_FMT % w}\n"
                 )
 
-    def __call__(self, step: int, previous: SimulationState, current: SimulationState):
-        if step == 0 and 0 in self._times:
-            self.write(previous, self._times[0])
-        if step + 1 in self._times:
-            self.write(current, self._times[step + 1])
+    def __call__(self, first_step: int, times: np.ndarray, fields: np.ndarray):
+        last = first_step + len(times) - 1
+        for step in sorted(s for s in self._pending if first_step <= s <= last):
+            self.write(fields[step - first_step], self._pending.pop(step))
 
 
 def _run_warnings(cfg: ScenarioConfig, front_near_boundary) -> tuple[str, ...]:
@@ -541,38 +543,49 @@ def _batch_key(cfg: ScenarioConfig):
 
 def _run_batch(cfgs, extra_observers=()) -> list[RunResult]:
     """March scenarios sharing one ``_batch_key`` as one block-diagonal
-    batch; each result's wall time is that of the whole batch."""
-    first = cfgs[0]
+    batch; each result's wall time is that of the whole batch.
+
+    The runs that track the front speed march first, so that the speed
+    recorder observes a leading slice of the batch and checks and warns
+    about those runs only."""
+    order = sorted(range(len(cfgs)), key=lambda b: not cfgs[b].wavespeed)
+    batch = [cfgs[b] for b in order]
+    first = batch[0]
     mesh = first.mesh()
-    state0 = SimulationState.stack([initial_state(cfg.initial, mesh) for cfg in cfgs])
+    state0 = SimulationState.stack([initial_state(cfg.initial, mesh) for cfg in batch])
 
     observers = list(extra_observers)
     positivity = PositivityRecorder(initial=state0)
     observers.append(positivity)
-    recorder = None
-    if any(cfg.wavespeed for cfg in cfgs):
-        recorder = WaveSpeedRecorder(mesh, first.dt)
+    tracked = sum(cfg.wavespeed for cfg in batch)
+    recorder = WaveSpeedRecorder(mesh, first.dt) if tracked else None
+    if tracked == len(batch):
         observers.append(recorder)
+    elif tracked:
+        observers.append(lambda step, times, fields: recorder(step, times, fields[:, :, :tracked]))
 
     started = time.perf_counter()
     final = run(
         state0,
-        [cfg.profile for cfg in cfgs],
-        [cfg.params for cfg in cfgs],
+        [cfg.profile for cfg in batch],
+        [cfg.params for cfg in batch],
         SchemeOptions(dt=first.dt),
         first.T,
         observers=observers,
     )
     elapsed = time.perf_counter() - started
 
-    runs = (len(cfgs),)
+    runs = (len(batch),)
     min_u, min_v, min_w = (
         np.broadcast_to(m, runs) for m in (positivity.min_u, positivity.min_v, positivity.min_w)
     )
-    near = np.broadcast_to(recorder.front_near_boundary if recorder is not None else False, runs)
+    near = np.zeros(runs, dtype=bool)
+    if recorder is not None:
+        near[:tracked] = recorder.front_near_boundary
     steps = step_count(state0.time, first.T, first.dt)
-    return [
-        RunResult(
+    results: list = [None] * len(batch)
+    for b, (cfg, state) in enumerate(zip(batch, final.unstack())):
+        results[order[b]] = RunResult(
             config=cfg,
             final_state=state,
             speed_series=recorder.series(b) if cfg.wavespeed else None,
@@ -583,8 +596,7 @@ def _run_batch(cfgs, extra_observers=()) -> list[RunResult]:
             wall_time_s=elapsed,
             warnings=_run_warnings(cfg, near[b]),
         )
-        for b, (cfg, state) in enumerate(zip(cfgs, final.unstack()))
-    ]
+    return results
 
 
 def run_config(cfg: ScenarioConfig, extra_observers=()) -> RunResult:
@@ -637,7 +649,7 @@ def run_scenario(cfg: ScenarioConfig, outdir) -> RunSummary:
     key=value summary under ``outdir``."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    writer = SnapshotWriter(outdir, cfg.snapshots, cfg.dt)
+    writer = SnapshotWriter(outdir, cfg.mesh(), cfg.snapshots, cfg.dt)
     result = run_config(cfg, extra_observers=(writer,))
 
     if result.speed_series is not None:

@@ -25,9 +25,22 @@ numbers a run on its own would.  A single run is the batch of one.
 The acid matrix depends only on A, dt and the mesh, which a run holds fixed,
 so it is factored once per run (LAPACK gttrf) and each step solves with the
 factors (gttrs).  The tumour matrix changes with u and is solved each step
-with LAPACK gtsv.  ``run`` is the hot loop: it steps plain arrays and wraps
-each new, already checked set of fields in a SimulationState without copying
-or re-validating it."""
+with LAPACK gtsv, its bands built in reused buffers from mesh constants
+computed once per run.
+
+``run`` is the hot loop, and it marches in blocks.  Each step writes its
+fields into the next row of one preallocated (K+1, 3, B*N) history array
+(about _BLOCK_BYTES of memory), reusing it from block to block; row 0 is
+the state the block starts from.  No step runs a reduction or builds a
+state.  After each block one vectorised pass over its rows does what a
+per-step check would: it finds the first step whose tumour interface
+coefficient went negative or whose fields are not finite, and aborts with
+that step and time.  Then the observers get the block, once, as
+``observer(first_step, times, fields)`` (see ``run``), so the wave-speed
+increments, the running minima, the front-proximity test and the snapshots
+are one vectorised pass per block too.  ``step_imex`` is the march with a
+block of one step.  Every operation runs in the order of a step at a time,
+so the numbers do not depend on the block size."""
 
 from __future__ import annotations
 
@@ -36,6 +49,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from .core import ModelParameters, reaction_u, reaction_v, reaction_w
@@ -48,6 +62,10 @@ HARMONIC = "harmonic"
 # How far a step count (T - t0)/dt may sit from a whole number and still
 # count as that number (float noise: 0.055/0.011 = 5.000000000000001).
 GRID_TOL = 1e-9
+
+# Memory for the history block ``run`` marches in: K + 1 rows of the three
+# fields, 24 bytes per cell and row.
+_BLOCK_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True)
@@ -216,21 +234,70 @@ def _backward_euler_bands(kappa: np.ndarray, gamma: float, mesh: Mesh):
     return -gamma * sub, 1.0 - gamma * diag, -gamma * super_
 
 
-def _tumour_bands(u_next: np.ndarray, gamma: float, mesh: Mesh, block: int):
-    """Bands of I - gamma*L(1 - u_next), arithmetic interface averages.
+_NEGATIVE_KAPPA = "negative tumour interface coefficient: healthy density exceeded 1"
+_SINGULAR = "singular tridiagonal system (LAPACK gtsv info={})"
 
-    ``mesh`` lays runs of ``block`` cells end to end; the coefficient at each
-    junction between two runs is zeroed, which decouples them.  A negative
-    interface coefficient means u exceeded 1 upstream, which would break the
-    dominance of the matrix; that is reported rather than clamped.
+
+class _TumourSystem:
+    """The tumour matrix I - gamma*L(1 - u), arithmetic interface averages,
+    for runs of ``block`` cells laid end to end on ``mesh``.
+
+    The coefficient at each junction between two runs is zeroed, which
+    decouples them.  A negative interface coefficient means u exceeded 1
+    upstream, which would break the dominance of the matrix; callers report
+    it rather than clamp it.  The mesh constants are computed once and the
+    bands are written into buffers that every ``bands`` call reuses (gtsv
+    overwrites them), with the operations of _interface_coefficients and
+    _backward_euler_bands in the same order, so the numbers are the same.
     """
-    kappa = _interface_coefficients(1.0 - u_next, mesh, ARITHMETIC)
-    kappa[block - 1 :: block] = 0.0
-    if (kappa < 0.0).any():
-        raise InstabilityError(
-            "negative tumour interface coefficient: healthy density exceeded 1"
+
+    def __init__(self, mesh: Mesh, block: int, gamma: float):
+        widths = mesh.widths
+        n = widths.size
+        self._widths = widths
+        self._wsum = widths[:-1] + widths[1:]
+        self._gaps = 0.5 * self._wsum
+        # The widths left and right of each interface, as a (2, N-1) view.
+        self._sides = as_strided(
+            widths, shape=(2, n - 1), strides=(widths.strides[0],) * 2, writeable=False
         )
-    return _backward_euler_bands(kappa, gamma, mesh)
+        # A single run has no junction.
+        self._junctions = slice(block - 1, None, block) if block < n else None
+        self._gamma = gamma
+        # Holds 1 - u until the coefficients are formed, then the diagonal.
+        self._cells = np.empty(n)
+        self._kappa = np.empty(n - 1)
+        # super = flat[:n-1] and sub = flat[n+1:], so that flat[:n] + flat[n:]
+        # is super_i + sub_{i-1}, the off-diagonal sum of row i; flat[n-1]
+        # and flat[n] stay zero for the two boundary rows.
+        self._flat = np.zeros(2 * n)
+        step = self._flat.itemsize
+        self._off = as_strided(self._flat, shape=(2, n - 1), strides=((n + 1) * step, step))
+
+    def kappa(self, u: np.ndarray, cells=None, out=None) -> np.ndarray:
+        """Interface coefficients of (1 - u) along the last axis (zero at the
+        junctions); ``cells`` and ``out`` are optional work buffers."""
+        cells = np.subtract(1.0, u, out=cells)
+        cells *= self._widths
+        kappa = np.add(cells[..., :-1], cells[..., 1:], out=out)
+        kappa /= self._wsum
+        if self._junctions is not None:
+            kappa[..., self._junctions] = 0.0
+        return kappa
+
+    def bands(self, u: np.ndarray):
+        """(sub, diag, super) for the healthy field u; the next call
+        overwrites them."""
+        cond = self.kappa(u, self._cells, self._kappa)
+        cond /= self._gaps
+        off = np.divide(cond, self._sides, out=self._off)
+        n = self._cells.size
+        # 1 - gamma*((0 - super_i) - sub_{i-1}) is exactly 1 + gamma*(super_i + sub_{i-1})
+        diag = np.add(self._flat[:n], self._flat[n:], out=self._cells)
+        diag *= self._gamma
+        diag += 1.0
+        off *= -self._gamma
+        return off[1], diag, off[0]
 
 
 def assemble_implicit_v(
@@ -246,13 +313,16 @@ def assemble_implicit_v(
     coefficient (1 - u) evaluated from the freshly updated healthy field.
     Raises InstabilityError when an interface coefficient is negative.
     """
-    bands = _tumour_bands(np.asarray(u_next, dtype=float), p.D * opts.dt, m, m.n_cells)
-    return TridiagonalSystem(*bands, rhs=v_expl)
+    u_next = np.asarray(u_next, dtype=float)
+    system = _TumourSystem(m, m.n_cells, p.D * opts.dt)
+    if (system.kappa(u_next) < 0.0).any():
+        raise InstabilityError(_NEGATIVE_KAPPA)
+    return TridiagonalSystem(*system.bands(u_next), rhs=v_expl)
 
 
 def _acid_bands(A_cells, opts: SchemeOptions, mesh: Mesh, block: int):
     """Bands of I - dt*L_A, decoupled at the junctions between runs of
-    ``block`` cells as in _tumour_bands."""
+    ``block`` cells as in _TumourSystem."""
     kappa = _interface_coefficients(np.asarray(A_cells, dtype=float), mesh, opts.interface_average_w)
     kappa[block - 1 :: block] = 0.0
     return _backward_euler_bands(kappa, opts.dt, mesh)
@@ -268,14 +338,6 @@ def assemble_implicit_w(
     return TridiagonalSystem(*_acid_bands(A_cells, opts, m, m.n_cells), rhs=w_expl)
 
 
-def _gtsv(sub, diag, super_, rhs, overwrite: bool = False) -> np.ndarray:
-    """LAPACK gtsv on the bands; ``overwrite`` lets it reuse all four inputs."""
-    *_, x, info = dgtsv(sub, diag, super_, rhs, overwrite, overwrite, overwrite, overwrite)
-    if info:
-        raise InstabilityError(f"singular tridiagonal system (LAPACK gtsv info={info})")
-    return x
-
-
 def solve_tridiagonal(sys: TridiagonalSystem) -> np.ndarray:
     """Direct solve of a tridiagonal system (LAPACK gtsv: elimination with
     partial pivoting and back substitution).
@@ -283,7 +345,10 @@ def solve_tridiagonal(sys: TridiagonalSystem) -> np.ndarray:
     The assembled systems are strictly diagonally dominant so a zero pivot
     cannot occur for them; singular input is still caught and reported.
     """
-    return _gtsv(sys.sub, sys.diag, sys.super, sys.rhs)
+    *_, x, info = dgtsv(sys.sub, sys.diag, sys.super, sys.rhs)
+    if info:
+        raise InstabilityError(_SINGULAR.format(info))
+    return x
 
 
 def _end_to_end(mesh: Mesh, runs: int) -> Mesh:
@@ -307,29 +372,6 @@ def _per_cell(values, block: int):
     return values[0] if len(values) == 1 else np.repeat(values, block)
 
 
-def _prepare(s: SimulationState, A_cells, params, opts: SchemeOptions):
-    """Stacked mesh, kinetics (d, r, D, c) and acid LU factors for stepping
-    the runs of ``s`` with one parameter set and one row of A_cells each."""
-    runs = 1 if s.u.ndim == 1 else s.u.shape[0]
-    A_cells = np.ravel(np.asarray(A_cells, dtype=float))
-    if len(params) != runs or A_cells.size != s.u.size:
-        raise ValueError(
-            f"a state of {runs} run(s) needs one parameter set and one diffusivity "
-            f"row per run, got {len(params)} and {A_cells.size / s.mesh.n_cells:g} rows"
-        )
-    if any(q.D != params[0].D for q in params):
-        raise ValueError("the runs of a batch must share the tumour diffusivity D")
-    block = s.mesh.n_cells
-    mesh = _end_to_end(s.mesh, runs)
-    kinetics = (
-        _per_cell([q.d for q in params], block),
-        _per_cell([q.r for q in params], block),
-        params[0].D,
-        _per_cell([q.c for q in params], block),
-    )
-    return mesh, kinetics, _factor_acid(A_cells, opts, mesh, block)
-
-
 def _factor_acid(A_cells, opts: SchemeOptions, mesh: Mesh, block: int):
     """LU factors (LAPACK gttrf) of the acid matrix I - dt*L_A, as the
     (dl, d, du, du2, ipiv) arguments gttrs takes before the right-hand side."""
@@ -340,23 +382,97 @@ def _factor_acid(A_cells, opts: SchemeOptions, mesh: Mesh, block: int):
     return tuple(factors)
 
 
-def _imex_step(u, v, w, t: float, kinetics, dt: float, mesh: Mesh, block: int, acid_lu):
-    """Fresh flat fields (u, v, w) one IMEX step after time t; the inputs are
-    not modified.  ``mesh``, ``kinetics`` and ``acid_lu`` come from _prepare
-    for runs of ``block`` cells and the same dt."""
-    d, r, D, c = kinetics
-    u_next = u + dt * reaction_u(u, w, d)
-    v_expl = v + dt * reaction_v(v, r)
-    v_next = _gtsv(*_tumour_bands(u_next, D * dt, mesh, block), v_expl, overwrite=True)
-    w_expl = w + dt * reaction_w(v, w, c)
-    w_next, info = dgttrs(*acid_lu, w_expl, overwrite_b=1)
-    if info:
-        raise InstabilityError(f"acid solve failed (LAPACK gttrs info={info})", time=t)
-    if not (
-        np.isfinite(u_next).all() and np.isfinite(v_next).all() and np.isfinite(w_next).all()
-    ):
-        raise InstabilityError(f"non-finite field values after step from t={t!r}", time=t)
-    return u_next, v_next, w_next
+class _Stepper:
+    """A march of the runs of ``s`` laid end to end, with one parameter set
+    and one row of A_cells each: what it holds fixed (the kinetics, the acid
+    LU factors and the tumour system) and the history block it steps in, of
+    ``rows`` rows of flat (u, v, w), whose row 0 starts as the fields of
+    ``s``."""
+
+    def __init__(self, s: SimulationState, A_cells, params, opts: SchemeOptions, rows: int):
+        runs = 1 if s.u.ndim == 1 else s.u.shape[0]
+        A_cells = np.ravel(np.asarray(A_cells, dtype=float))
+        if len(params) != runs or A_cells.size != s.u.size:
+            raise ValueError(
+                f"a state of {runs} run(s) needs one parameter set and one diffusivity "
+                f"row per run, got {len(params)} and {A_cells.size / s.mesh.n_cells:g} rows"
+            )
+        if any(q.D != params[0].D for q in params):
+            raise ValueError("the runs of a batch must share the tumour diffusivity D")
+        block = s.mesh.n_cells
+        mesh = _end_to_end(s.mesh, runs)
+        self._dt = opts.dt
+        self._kinetics = tuple(_per_cell([getattr(q, k) for q in params], block) for k in "drc")
+        self._acid_lu = _factor_acid(A_cells, opts, mesh, block)
+        self._tumour = _TumourSystem(mesh, block, params[0].D * opts.dt)
+        self.history = np.empty((rows, 3, s.u.size))
+        for i, field in enumerate((s.u, s.v, s.w)):
+            self.history[0, i] = field.ravel()
+        # Each row with its three fields, as views made once.
+        self._rows = [(row, *row) for row in self.history]
+
+    def march(self, m: int, times):
+        """Step row 0 of the history m times into rows 1..m; ``times`` holds
+        the time of each row.
+
+        Nothing is checked while stepping.  Afterwards one pass over the
+        block finds the first step that broke down, as the checks of a
+        single step would have, in their order: a negative tumour interface
+        coefficient, a failed LAPACK solve (which stops the block), a
+        non-finite field.  Returns (steps, error): the number of good steps
+        and the InstabilityError of the step after them, or None.  Floating
+        point warnings are silenced; the error reports the breakdown.
+        """
+        with np.errstate(all="ignore"):
+            done, failure = self._step(m, times)
+            return self._check(done, failure, times)
+
+    def _step(self, m, times):
+        d, r, c = self._kinetics
+        dt, acid_lu, bands, rows = self._dt, self._acid_lu, self._tumour.bands, self._rows
+        for j in range(m):
+            now, u, v, w = rows[j]
+            new, u_new, v_new, w_new = rows[j + 1]
+            np.multiply(reaction_u(u, w, d), dt, out=u_new)
+            np.multiply(reaction_v(v, r), dt, out=v_new)
+            np.multiply(reaction_w(v, w, c), dt, out=w_new)
+            new += now
+            # Both solves overwrite their right-hand side, the contiguous
+            # row of v or w, with the solution.
+            info = dgtsv(*bands(u_new), v_new, 1, 1, 1, 1)[-1]
+            if info:
+                return j, InstabilityError(_SINGULAR.format(info))
+            info = dgttrs(*acid_lu, w_new, overwrite_b=1)[-1]
+            if info:
+                t = float(times[j])
+                return j, InstabilityError(f"acid solve failed (LAPACK gttrs info={info})", time=t)
+        return m, None
+
+    def _check(self, done: int, failure, times):
+        # A step's tumour coefficients come from its new u, which a step
+        # stopped by LAPACK has written too.
+        history = self.history
+        tried = done + (failure is not None)
+        u = history[1 : tried + 1, 0]
+        # With no u above 1 every coefficient is >= 0, and a finite block
+        # has no non-finite row: the common case needs two reductions.
+        finite = np.isfinite(history[1 : done + 1])
+        if failure is None and finite.all() and not u.max(initial=0.0) > 1.0:
+            return done, None
+        broken = (self._tumour.kappa(u) < 0.0).any(axis=-1)
+        negative = broken.copy()
+        broken[:done] |= ~finite.all(axis=(1, 2))
+        if failure is not None:
+            broken[done] = True
+        if not broken.any():
+            return done, None
+        k = int(broken.argmax())
+        t = float(times[k])
+        if negative[k]:
+            return k, InstabilityError(_NEGATIVE_KAPPA)
+        if k == done:
+            return k, failure
+        return k, InstabilityError(f"non-finite field values after step from t={t!r}", time=t)
 
 
 def _apply_operator(kappa: np.ndarray, q: np.ndarray, mesh: Mesh) -> np.ndarray:
@@ -399,16 +515,18 @@ def step_imex(
     p,
     opts: SchemeOptions,
 ) -> SimulationState:
-    """Advance the state by one IMEX step of size opts.dt.
+    """Advance the state by one IMEX step of size opts.dt: the march of
+    ``run`` with a block of one step.
 
     For a batch state, ``A_cells`` has the state's (B, N) shape and ``p``
     holds one ModelParameters per run.
     """
-    mesh, kinetics, acid_lu = _prepare(s, A_cells, _per_run(p, ModelParameters), opts)
-    flat = (s.u.ravel(), s.v.ravel(), s.w.ravel())
-    fields = _imex_step(*flat, s.time, kinetics, opts.dt, mesh, s.mesh.n_cells, acid_lu)
+    stepper = _Stepper(s, A_cells, _per_run(p, ModelParameters), opts, rows=2)
+    _, error = stepper.march(1, (s.time,))
+    if error is not None:
+        raise error
     return SimulationState._trusted(
-        s.mesh, s.time + opts.dt, *(f.reshape(s.u.shape) for f in fields)
+        s.mesh, s.time + opts.dt, *(f.reshape(s.u.shape) for f in stepper.history[1])
     )
 
 
@@ -447,9 +565,22 @@ def run(
     A batch state (fields of shape (B, N)) takes one diffusivity profile and
     one ModelParameters per run, as sequences of length B, and marches all B
     runs in one block-diagonal system; they must share D.  Takes
-    step_count(t0, T, dt) steps; each observer is called as
-    ``observer(step_index, previous_state, new_state)`` after every step.
-    Instability aborts the run with the failing step index and time.
+    step_count(t0, T, dt) steps.
+
+    The steps go in blocks of up to K = _BLOCK_BYTES // (24*B*N) (at least
+    one): each is written into the next row of one reused (K+1, 3, B*N)
+    history array, and once per block a vectorised pass finds the first
+    step that broke down (see _Stepper.march).  Then each observer is
+    called as ``observer(first_step, times, fields)``: ``fields`` is a
+    read-only (m+1, 3, *state_shape) view of the block whose row j holds
+    (u, v, w) after first_step + j steps, at ``times[j]``.  Row 0 is the
+    state the block started from (the initial state in the first call, the
+    last row of the previous call after that).  The view and ``times`` are
+    valid only during the call; an observer copies what it keeps.
+
+    Instability aborts the run with the failing step index and time, after
+    the observers have seen the rows before that step.  The returned state
+    holds copies of the final fields.
     """
     if T < s0.time:
         raise ValueError(f"final time {T!r} precedes state time {s0.time!r}")
@@ -466,24 +597,39 @@ def run(
                 stacklevel=2,
             )
     A_cells = [project_cell_averages(a, s0.mesh) for a in _per_run(A, DiffusionProfile)]
-    mesh, kinetics, acid_lu = _prepare(s0, np.concatenate(A_cells), params, opts)
     n_steps = step_count(s0.time, T, opts.dt)
-    block, dt, shape = s0.mesh.n_cells, opts.dt, s0.u.shape
-    u, v, w = s0.u.ravel(), s0.v.ravel(), s0.w.ravel()
-    state = s0
-    for k in range(n_steps):
-        previous = state
-        try:
-            u, v, w = _imex_step(u, v, w, previous.time, kinetics, dt, mesh, block, acid_lu)
-        except InstabilityError as exc:
+    size = max(1, min(n_steps, _BLOCK_BYTES // (24 * s0.u.size)))
+    stepper = _Stepper(s0, np.concatenate(A_cells), params, opts, rows=size + 1)
+    del A_cells  # only the acid factors needed the diffusivities
+    if n_steps == 0:
+        return s0
+    shape = s0.u.shape
+    history = stepper.history
+    fields = history.reshape((size + 1, 3) + shape)
+    fields.flags.writeable = False
+    # Times add dt one step at a time, as a state's time always has.
+    increments = np.full(size + 1, opts.dt)
+    increments[0] = s0.time
+    times = np.empty(size + 1)
+    shown = times.view()
+    shown.flags.writeable = False
+    first = 0
+    while first < n_steps:
+        m = min(size, n_steps - first)
+        np.add.accumulate(increments[: m + 1], out=times[: m + 1])
+        good, error = stepper.march(m, times)
+        if good:
+            for observer in observers:
+                observer(first, shown[: good + 1], fields[: good + 1])
+        if error is not None:
+            step, t = first + good, float(times[good])
             raise InstabilityError(
-                f"run became unstable at step {k} (t={previous.time!r}): {exc}",
-                step=k,
-                time=previous.time,
-            ) from exc
-        state = SimulationState._trusted(
-            s0.mesh, previous.time + dt, u.reshape(shape), v.reshape(shape), w.reshape(shape)
-        )
-        for observer in observers:
-            observer(k, previous, state)
-    return state
+                f"run became unstable at step {step} (t={t!r}): {error}", step=step, time=t
+            ) from error
+        history[0] = history[m]
+        increments[0] = times[m]
+        first += m
+    del stepper  # releases its buffers before the final fields are copied
+    return SimulationState._trusted(
+        s0.mesh, float(increments[0]), *(f.reshape(shape) for f in history[0].copy())
+    )

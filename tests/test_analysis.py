@@ -276,11 +276,21 @@ class TestWaveSpeedRecorder:
         rec = WaveSpeedRecorder(m, 0.01)
         a = synthetic_state(m, front_profile(n), np.zeros(n))
         b = synthetic_state(m, front_profile(n, drop_at=51), np.zeros(n))
-        rec(0, a, b)
-        rec(1, b, b)
+        # one block: a, then b after step 1 and again after step 2
+        fields = np.stack([[s.u, s.v, s.w] for s in (a, b, b)])
+        times = np.array([0.0, 0.01, 0.02])
+        rec(0, times, fields)
         series = rec.series()
         assert len(series) == 2
+        assert series.thetas[0] > 0.0
         assert series.thetas[1] == 0.0
+        assert np.array_equal(series.times, times[1:])
+        # the same steps in two blocks; row 0 of a block is the state it starts from
+        split = WaveSpeedRecorder(m, 0.01)
+        split(0, times[:2], fields[:2])
+        split(1, times[1:], fields[1:])
+        assert np.array_equal(split.series().thetas, series.thetas)
+        assert np.array_equal(split.series().times, series.times)
 
 
 def coarse_scenario(profile):

@@ -88,6 +88,12 @@ class TestSimulate:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_infinite_destructiveness_rejected(self, tmp_path, capsys):
+        # used to march and stop as a numerical instability (exit 2)
+        rc = main(["simulate", "table1-d12.5", "--d", "inf", "--T", "0.1", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "d must be finite" in capsys.readouterr().err
+
     def test_overrides(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
         write_small_config(cfg_path)

@@ -78,6 +78,14 @@ class TestModelParameters:
             with pytest.raises(ValueError, match=field):
                 ModelParameters(**kwargs)
 
+    def test_rejects_non_finite(self):
+        for field in ("d", "r", "D", "c"):
+            for value in (math.inf, math.nan):
+                kwargs = dict(d=1.0, r=1.0, D=0.1, c=1.0)
+                kwargs[field] = value
+                with pytest.raises(ValueError, match=f"{field} must be finite"):
+                    ModelParameters(**kwargs)
+
     def test_large_diffusivity_ratio_warns(self):
         with pytest.warns(ParameterWarning):
             ModelParameters(d=1.0, r=1.0, D=1.5, c=1.0)

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from acidfront.core import ModelParameters
 from acidfront.errors import ConfigurationError, FrontProximityWarning, StabilityWarning
 from acidfront.mesh import Constant, PeriodicPiecewiseConstant, SingleJump, Sinusoidal, build_uniform_mesh
+from acidfront.scheme import SchemeOptions, run
 from acidfront.scenarios import (
     PIECEWISE_LINEAR,
     RIEMANN,
@@ -239,6 +241,28 @@ class TestRunScenario:
         for name in ("snapshot_t0.5.csv", "wavespeed.csv", "snapshot_t0.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_outputs_spanning_many_blocks_are_deterministic(self, tmp_path):
+        # 300 steps of 400 cells march in blocks of 54 steps: snapshots on a
+        # block edge (t = 0.54, 1.08) and inside blocks, and a wavespeed.csv
+        # gathered block by block, are the same bytes on every run
+        cfg = dataclasses.replace(
+            preset("table1-d12.5"), T=3.0, snapshots=(0.0, 0.54, 1.0, 1.08, 3.0)
+        )
+        a, b = tmp_path / "a", tmp_path / "b"
+        run_scenario(cfg, a)
+        run_scenario(cfg, b)
+        names = ["wavespeed.csv"] + [f"snapshot_t{t:g}.csv" for t in cfg.snapshots]
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        lines = (a / "wavespeed.csv").read_text().splitlines()
+        assert len(lines) == 301 and lines[-1].startswith("300,")
+        # the snapshot at the block edge holds the state after its 54 steps
+        edge = run(
+            initial_state(cfg.initial, cfg.mesh()), cfg.profile, cfg.params, SchemeOptions(dt=cfg.dt), T=0.54
+        )
+        saved = np.loadtxt(a / "snapshot_t0.54.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(saved[:, 1:], np.stack([edge.u, edge.v, edge.w], axis=1))
+
     def test_summary_field_order(self, tmp_path):
         summary = run_scenario(small_config(), tmp_path)
         keys = [line.split("=")[0] for line in summary.render().splitlines()]
@@ -316,6 +340,27 @@ class TestRunConfigs:
         assert run_config(quiet).warnings == ()
         assert batch[0].warnings == ()
         assert batch[1].warnings == ("tumour front approached the domain boundary",)
+
+    def test_only_runs_tracking_speed_warn_of_the_front(self):
+        # a batch used to warn for every run whose front neared the boundary
+        escape = dict(params=ModelParameters(d=30.0, r=10.0, D=0.01, c=70.0), dx=0.02, T=2.0, snapshots=())
+        quiet, tracked = small_config(wavespeed=False, **escape), small_config(**escape)
+        for cfgs, expected in (([quiet, tracked], 1), ([tracked, quiet, quiet, tracked], 2), ([quiet, quiet], 0)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                results = run_configs(cfgs)
+            fronts = [w for w in caught if issubclass(w.category, FrontProximityWarning)]
+            assert len(fronts) == expected, cfgs
+            for cfg, result in zip(cfgs, results):
+                assert result.config is cfg
+                assert (result.speed_series is not None) == cfg.wavespeed
+            if expected:
+                # the tracked runs' series are those of the run alone
+                with pytest.warns(FrontProximityWarning):
+                    alone = run_config(tracked).speed_series.thetas
+                for cfg, result in zip(cfgs, results):
+                    if cfg.wavespeed:
+                        assert np.array_equal(result.speed_series.thetas, alone)
 
     def test_empty(self):
         assert run_configs([]) == []

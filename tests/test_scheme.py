@@ -35,6 +35,7 @@ from acidfront.scheme import (
     solve_tridiagonal,
     step_imex,
 )
+from acidfront import scheme
 from conftest import raw_params
 
 
@@ -443,22 +444,28 @@ class TestRun:
         calls = []
         run(
             s, Constant(1.0), reference_params(), SchemeOptions(dt=0.01), T=0.1,
-            observers=[lambda k, prev, cur: calls.append((k, prev.time, cur.time))],
+            observers=[lambda first, times, fields: calls.append((first, times.copy(), fields.shape))],
         )
-        assert len(calls) == 10
+        # every step is seen once: each block starts at the row the last one ended at
         assert calls[0][0] == 0
-        assert calls[-1][2] == pytest.approx(0.1)
+        assert calls[0][1][0] == 0.0
+        for (first, times, shape), (next_first, next_times, _) in zip(calls, calls[1:]):
+            assert next_first == first + len(times) - 1
+            assert next_times[0] == times[-1]
+        assert sum(len(times) - 1 for _, times, _ in calls) == 10
+        assert calls[-1][1][-1] == pytest.approx(0.1)
+        assert all(shape[1:] == (3, n) for _, _, shape in calls)
 
     def test_step_count_rounding(self):
         m = build_uniform_mesh(0.0, 1.0, 0.005)
         n = m.n_cells
         s = SimulationState(m, 0.0, np.ones(n), np.zeros(n), np.zeros(n))
-        calls = []
+        steps = []
         run(
             s, Constant(1.0), reference_params(), SchemeOptions(dt=0.01), T=0.055,
-            observers=[lambda k, prev, cur: calls.append(k)],
+            observers=[lambda first, times, fields: steps.extend(range(first, first + len(times) - 1))],
         )
-        assert len(calls) == 6  # ceil(0.055 / 0.01)
+        assert steps == list(range(6))  # ceil(0.055 / 0.01)
 
     def test_reaction_limit_reference_value(self):
         assert reaction_step_limit(reference_params()) == pytest.approx(1.0 / 70.0)
@@ -549,6 +556,149 @@ class TestOneStepper:
             assert np.array_equal(getattr(out, name), getattr(expected, name)), name
 
 
+@st.composite
+def blocked_cases(draw):
+    # dt up to ten times the reaction limit, so that about one run in eight
+    # breaks down, and blocks of 1 to 4 steps, so that runs span blocks and
+    # break down at any place in a block
+    state, profile, p, opts, _ = draw(stepper_cases())
+    opts = SchemeOptions(
+        dt=opts.dt * draw(st.floats(1.0, 10.0)), interface_average_w=opts.interface_average_w
+    )
+    return state, profile, p, opts, draw(st.integers(1, 12)), draw(st.integers(1, 4))
+
+
+def block_size(steps: int, state: SimulationState) -> int:
+    """A block budget that makes ``run`` march ``state`` ``steps`` at a time."""
+    return 24 * state.u.size * steps
+
+
+def keep_rows(kept):
+    """Observer keeping a copy of every row it is shown, by step index."""
+
+    def observe(first, times, fields):
+        for j in range(len(times)):
+            kept.setdefault(first + j, (float(times[j]), np.array(fields[j])))
+
+    return observe
+
+
+class TestBlocks:
+    @pytest.mark.filterwarnings("ignore::acidfront.errors.ResolutionWarning")
+    @pytest.mark.filterwarnings("ignore::acidfront.errors.StabilityWarning")
+    @settings(max_examples=80, deadline=None)
+    @given(blocked_cases())
+    def test_blocks_equal_repeated_steps_up_to_the_failing_one(self, case):
+        # the checks run once per block, yet a breakdown is reported at the
+        # step and time, with the message, of a step_imex loop, and the
+        # observers have seen exactly the states before it
+        s0, profile, p, opts, k, per_block = case
+        a_cells = project_cell_averages(profile, s0.mesh)
+        expected = [s0]
+        failure = None
+        for step in range(k):
+            try:
+                expected.append(step_imex(expected[-1], a_cells, p, opts))
+            except InstabilityError as exc:
+                failure = (step, expected[-1].time, str(exc))
+                break
+        kept = {}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scheme, "_BLOCK_BYTES", block_size(per_block, s0))
+            if failure is None:
+                out = run(s0, profile, p, opts, T=k * opts.dt, observers=[keep_rows(kept)])
+                assert out.time == expected[-1].time
+                for name in ("u", "v", "w"):
+                    assert np.array_equal(getattr(out, name), getattr(expected[-1], name)), name
+            else:
+                with pytest.raises(InstabilityError) as excinfo:
+                    run(s0, profile, p, opts, T=k * opts.dt, observers=[keep_rows(kept)])
+                step, time, message = failure
+                assert (excinfo.value.step, excinfo.value.time) == (step, time)
+                assert str(excinfo.value) == f"run became unstable at step {step} (t={time!r}): {message}"
+        seen = len(expected) if failure is None or failure[0] > 0 else 0
+        assert sorted(kept) == list(range(seen))
+        for step, (time, fields) in kept.items():
+            state = expected[step]
+            assert time == state.time
+            assert np.array_equal(fields, np.stack([state.u, state.v, state.w]))
+
+    @pytest.mark.filterwarnings("ignore::acidfront.errors.StabilityWarning")
+    @pytest.mark.parametrize("per_block", [1, 2, 3, 4, 5, 8])
+    @pytest.mark.parametrize(
+        "kind, u0, v0, p, dt",
+        [
+            # the healthy logistic u + dt*u*(1 - u) overshoots 1 after a few steps
+            ("negative tumour interface coefficient", 0.01, 0.0, raw_params(d=1.0, r=1.0, D=1e-3, c=1.0), 2.5),
+            # no healthy tissue, so no coefficient goes negative; a tumour
+            # logistic step with r*dt = 1000 overflows v within a few steps
+            ("non-finite field values", 0.0, 0.5, raw_params(d=1.0, r=1000.0, D=1e-3, c=1.0), 1.0),
+        ],
+    )
+    def test_breakdown_reported_at_its_step(self, monkeypatch, per_block, kind, u0, v0, p, dt):
+        m = build_uniform_mesh(0.0, 1.0, 0.05)
+        n = m.n_cells
+        s0 = SimulationState(m, 0.0, np.full(n, u0), np.full(n, v0), np.zeros(n))
+        opts = SchemeOptions(dt=dt)
+        states = [s0]
+        with pytest.raises(InstabilityError) as single:
+            for _ in range(20):
+                states.append(step_imex(states[-1], np.ones(n), p, opts))
+        steps = len(states) - 1
+        assert str(single.value).startswith(kind)
+        if u0 > 0.0:
+            # u has no diffusion: the breakdown step follows from the scalar map
+            u, overshoot = u0, 0
+            while (u := u + dt * u * (1.0 - u)) <= 1.0:
+                overshoot += 1
+            assert steps == overshoot
+        monkeypatch.setattr(scheme, "_BLOCK_BYTES", block_size(per_block, s0))
+        kept = {}
+        with pytest.raises(InstabilityError) as blocked:
+            run(s0, Constant(1.0), p, opts, T=20 * dt, observers=[keep_rows(kept)])
+        time = states[-1].time
+        assert (blocked.value.step, blocked.value.time) == (steps, time)
+        assert str(blocked.value) == f"run became unstable at step {steps} (t={time!r}): {single.value}"
+        assert sorted(kept) == list(range(steps + 1))
+        for step, state in enumerate(states):
+            assert np.array_equal(kept[step][1], np.stack([state.u, state.v, state.w]))
+
+    def test_kept_states_are_frozen_and_outlive_the_blocks(self, monkeypatch):
+        m = build_uniform_mesh(0.0, 1.0, 0.01)
+        x = m.centers
+        v0 = np.where(x < 0.25, 1.0, 0.0)
+        s0 = SimulationState(m, 0.0, 1.0 - v0, v0, np.zeros(m.n_cells))
+        p, opts = reference_params(), SchemeOptions(dt=0.01)
+        monkeypatch.setattr(scheme, "_BLOCK_BYTES", block_size(3, s0))
+        views, copies = [], {}
+
+        def observe(first, times, fields):
+            assert not fields.flags.writeable and not times.flags.writeable
+            with pytest.raises(ValueError):
+                fields[-1, 0, 0] = 2.0
+            views.append(fields)
+            keep_rows(copies)(first, times, fields)
+
+        final = run(s0, Constant(1.0), p, opts, T=0.1, observers=[observe])
+        assert len(views) == 4  # blocks of 3, 3, 3 and 1 steps
+        # the views share one buffer that later blocks overwrite; a copy an
+        # observer keeps, and the returned state, are not views of it
+        assert all(np.shares_memory(views[0], view) for view in views)
+        assert not any(np.shares_memory(final.u, view) or np.shares_memory(final.w, view) for view in views)
+        for name in ("u", "v", "w"):
+            assert not getattr(final, name).flags.writeable
+        states = [s0]
+        for _ in range(10):
+            states.append(step_imex(states[-1], project_cell_averages(Constant(1.0), m), p, opts))
+        for step, state in enumerate(states):
+            assert np.array_equal(copies[step][1], np.stack([state.u, state.v, state.w])), step
+        assert np.array_equal(np.stack([final.u, final.v, final.w]), copies[10][1])
+        # a second run reuses nothing of the first
+        kept_u = final.u.copy()
+        run(final, Constant(1.0), p, opts, T=0.2)
+        assert np.array_equal(final.u, kept_u)
+
+
 class TestReactionLimit:
     @pytest.mark.filterwarnings("ignore::acidfront.errors.ResolutionWarning")
     @settings(max_examples=60, deadline=None)
@@ -558,10 +708,10 @@ class TestReactionLimit:
         # each implicit solve is an M-matrix solve with unit row sums
         s0, profile, p, opts, _ = case
 
-        def in_range(step, previous, current):
-            for name in ("u", "v", "w"):
-                field = getattr(current, name)
-                assert field.min() >= -1e-12 and field.max() <= 1.0 + 1e-12, (name, step)
+        def in_range(first, times, fields):
+            for i, name in enumerate("uvw"):
+                field = fields[1:, i]
+                assert field.min() >= -1e-12 and field.max() <= 1.0 + 1e-12, (name, first)
 
         run(s0, profile, p, opts, T=20 * opts.dt, observers=[in_range])
 
