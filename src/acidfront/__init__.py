@@ -78,7 +78,6 @@ from .scheme import (
     interface_diffusivity_harmonic,
     reaction_step_limit,
     run,
-    semidiscrete_rhs,
     solve_tridiagonal,
     step_imex,
 )

@@ -141,8 +141,8 @@ class Constant(DiffusionProfile):
     a: float
 
     def __post_init__(self):
-        if not self.a > 0.0:
-            raise ValueError(f"diffusivity must be positive, got {self.a!r}")
+        if not 0.0 < self.a < math.inf:
+            raise ValueError(f"diffusivity must be finite and positive, got {self.a!r}")
 
     def value(self, x):
         return np.full_like(np.asarray(x, dtype=float), self.a)
@@ -164,9 +164,9 @@ class SingleJump(DiffusionProfile):
     x_jump: float
 
     def __post_init__(self):
-        if not self.a1 > 0.0 or not self.a2 > 0.0:
+        if not (0.0 < self.a1 < math.inf and 0.0 < self.a2 < math.inf):
             raise ValueError(
-                f"diffusivities must be positive, got a1={self.a1!r}, a2={self.a2!r}"
+                f"diffusivities must be finite and positive, got a1={self.a1!r}, a2={self.a2!r}"
             )
         if not math.isfinite(self.x_jump):
             raise ValueError(f"jump location must be finite, got {self.x_jump!r}")
@@ -195,16 +195,17 @@ class PeriodicPiecewiseConstant(DiffusionProfile):
     periods: float
 
     def __post_init__(self):
-        if not self.alpha0 > 0.0 or not self.alpha1 > 0.0:
+        if not (0.0 < self.alpha0 < math.inf and 0.0 < self.alpha1 < math.inf):
             raise ValueError(
-                f"diffusivities must be positive, got alpha0={self.alpha0!r}, "
+                f"diffusivities must be finite and positive, got alpha0={self.alpha0!r}, "
                 f"alpha1={self.alpha1!r}"
             )
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"duty fraction beta must be in (0, 1), got {self.beta!r}")
-        if not self.periods >= 1.0:
+        if not 1.0 <= self.periods < math.inf:
             raise ValueError(
-                f"need at least one oscillation per unit interval, got {self.periods!r}"
+                f"need a finite number (at least one) of oscillations per unit interval, "
+                f"got {self.periods!r}"
             )
 
     @property
@@ -244,13 +245,13 @@ class Sinusoidal(DiffusionProfile):
     omega: float
 
     def __post_init__(self):
-        if not 0.0 < self.alpha0 <= self.alpha1:
+        if not 0.0 < self.alpha0 <= self.alpha1 < math.inf:
             raise ValueError(
-                f"need 0 < alpha0 <= alpha1, got alpha0={self.alpha0!r}, "
+                f"need finite 0 < alpha0 <= alpha1, got alpha0={self.alpha0!r}, "
                 f"alpha1={self.alpha1!r}"
             )
-        if not self.omega > 0.0:
-            raise ValueError(f"frequency must be positive, got {self.omega!r}")
+        if not 0.0 < self.omega < math.inf:
+            raise ValueError(f"frequency must be finite and positive, got {self.omega!r}")
 
     @property
     def period(self) -> float:

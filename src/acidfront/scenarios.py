@@ -686,8 +686,15 @@ def run_homogenization_suite(
 
     Every periodic run and its effective twin march as one batch.  Returns
     one dict per row with the two verdicts; also writes
-    ``homogenization.csv`` when ``outdir`` is given.
+    ``homogenization.csv`` when ``outdir`` is given.  Raises
+    ConfigurationError, before any run, for an empty row selection or a
+    tolerance that is not finite and >= 0.
     """
+    if not rows:
+        raise ConfigurationError("no homogenization row selected")
+    for name, tol in (("tol_gap", tol_gap), ("tol_osc", tol_osc)):
+        if not 0.0 <= tol < math.inf:
+            raise ConfigurationError(f"{name} must be finite and >= 0, got {tol!r}")
     families = ("pc", "sin")
     periodic = [
         _config(d, table3_profile(family, omega, a0, a1), PIECEWISE_LINEAR, 0.0, 1.0)

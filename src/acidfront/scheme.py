@@ -22,11 +22,17 @@ between two blocks is set to zero, so both tridiagonal systems are block
 diagonal: one LAPACK call solves every run, and each block gets exactly the
 numbers a run on its own would.  A single run is the batch of one.
 
-The acid matrix depends only on A, dt and the mesh, which a run holds fixed,
-so it is factored once per run (LAPACK gttrf) and each step solves with the
-factors (gttrs).  The tumour matrix changes with u and is solved each step
-with LAPACK gtsv, its bands built in reused buffers from mesh constants
-computed once per run.
+Both implicit matrices are I - gamma*L(kappa), and one builder assembles
+them (``_BackwardEuler``): from mesh constants computed once it forms the
+interface coefficients (width-weighted arithmetic averages in place, or
+harmonic means), zeroes them at the junctions between runs and writes the
+bands into reused buffers.  ``diffusion_operator`` on
+``interface_diffusivity_arithmetic`` or ``interface_diffusivity_harmonic``
+is its readable reference; the tests hold the builder's bands equal to it
+bit for bit.  The acid matrix depends only on A, dt and the mesh, which a
+run holds fixed, so it is factored once per run (LAPACK gttrf) and each
+step solves with the factors (gttrs).  The tumour matrix changes with u and
+is rebuilt and solved each step with LAPACK gtsv.
 
 ``run`` is the hot loop, and it marches in blocks.  Each step writes its
 fields into the next row of one preallocated (K+1, 3, B*N) history array
@@ -174,19 +180,6 @@ class TridiagonalSystem:
         if self.sub.size != n - 1 or self.super.size != n - 1 or self.rhs.size != n:
             raise ValueError("inconsistent tridiagonal band lengths")
 
-    def is_diagonally_dominant(self) -> bool:
-        mag = np.zeros_like(self.diag)
-        mag[1:] += np.abs(self.sub)
-        mag[:-1] += np.abs(self.super)
-        return bool(np.all(self.diag > 0.0) and np.all(self.diag > mag))
-
-    def dense(self) -> np.ndarray:
-        return (
-            np.diag(self.diag)
-            + np.diag(self.sub, -1)
-            + np.diag(self.super, 1)
-        )
-
 
 def interface_diffusivity_arithmetic(aL, aR, dxL, dxR):
     """Width-weighted average of the two cell coefficients at an interface."""
@@ -198,15 +191,6 @@ def interface_diffusivity_harmonic(aL, aR):
     if np.any(np.asarray(aL) <= 0.0) or np.any(np.asarray(aR) <= 0.0):
         raise ValueError("harmonic interface averaging needs strictly positive values")
     return 2.0 * aL * aR / (aL + aR)
-
-
-def _interface_coefficients(cells: np.ndarray, mesh: Mesh, average: str) -> np.ndarray:
-    """Coefficient at each of the N-1 interior interfaces."""
-    if average == ARITHMETIC:
-        return interface_diffusivity_arithmetic(
-            cells[:-1], cells[1:], mesh.widths[:-1], mesh.widths[1:]
-        )
-    return interface_diffusivity_harmonic(cells[:-1], cells[1:])
 
 
 def diffusion_operator(kappa: np.ndarray, mesh: Mesh):
@@ -228,27 +212,20 @@ def diffusion_operator(kappa: np.ndarray, mesh: Mesh):
     return sub, diag, super_
 
 
-def _backward_euler_bands(kappa: np.ndarray, gamma: float, mesh: Mesh):
-    """Bands (sub, diag, super) of I - gamma*L for the diffusion operator above."""
-    sub, diag, super_ = diffusion_operator(kappa, mesh)
-    return -gamma * sub, 1.0 - gamma * diag, -gamma * super_
-
-
 _NEGATIVE_KAPPA = "negative tumour interface coefficient: healthy density exceeded 1"
 _SINGULAR = "singular tridiagonal system (LAPACK gtsv info={})"
 
 
-class _TumourSystem:
-    """The tumour matrix I - gamma*L(1 - u), arithmetic interface averages,
-    for runs of ``block`` cells laid end to end on ``mesh``.
+class _BackwardEuler:
+    """The matrix I - gamma*L(kappa) of ``diffusion_operator`` for runs of
+    ``block`` cells laid end to end on ``mesh``.
 
     The coefficient at each junction between two runs is zeroed, which
-    decouples them.  A negative interface coefficient means u exceeded 1
-    upstream, which would break the dominance of the matrix; callers report
-    it rather than clamp it.  The mesh constants are computed once and the
-    bands are written into buffers that every ``bands`` call reuses (gtsv
-    overwrites them), with the operations of _interface_coefficients and
-    _backward_euler_bands in the same order, so the numbers are the same.
+    decouples them.  A negative coefficient (the tumour's, once u exceeds
+    1) would break the dominance of the matrix; callers report it rather
+    than clamp it.  The mesh constants are computed once and the bands are
+    written into buffers that every ``bands`` call reuses (LAPACK may
+    overwrite them).
     """
 
     def __init__(self, mesh: Mesh, block: int, gamma: float):
@@ -264,9 +241,7 @@ class _TumourSystem:
         # A single run has no junction.
         self._junctions = slice(block - 1, None, block) if block < n else None
         self._gamma = gamma
-        # Holds 1 - u until the coefficients are formed, then the diagonal.
-        self._cells = np.empty(n)
-        self._kappa = np.empty(n - 1)
+        self._diag = np.empty(n)
         # super = flat[:n-1] and sub = flat[n+1:], so that flat[:n] + flat[n:]
         # is super_i + sub_{i-1}, the off-diagonal sum of row i; flat[n-1]
         # and flat[n] stay zero for the two boundary rows.
@@ -274,26 +249,28 @@ class _TumourSystem:
         step = self._flat.itemsize
         self._off = as_strided(self._flat, shape=(2, n - 1), strides=((n + 1) * step, step))
 
-    def kappa(self, u: np.ndarray, cells=None, out=None) -> np.ndarray:
-        """Interface coefficients of (1 - u) along the last axis (zero at the
-        junctions); ``cells`` and ``out`` are optional work buffers."""
-        cells = np.subtract(1.0, u, out=cells)
-        cells *= self._widths
-        kappa = np.add(cells[..., :-1], cells[..., 1:], out=out)
-        kappa /= self._wsum
+    def kappa(self, cells: np.ndarray, average: str = ARITHMETIC, out=None) -> np.ndarray:
+        """Interface coefficients of the cell coefficients ``cells`` along
+        the last axis, zero at the junctions.  The arithmetic average is
+        formed in place (it overwrites ``cells``), into ``out`` if given."""
+        if average == HARMONIC:
+            kappa = interface_diffusivity_harmonic(cells[..., :-1], cells[..., 1:])
+        else:
+            cells *= self._widths
+            kappa = np.add(cells[..., :-1], cells[..., 1:], out=out)
+            kappa /= self._wsum
         if self._junctions is not None:
             kappa[..., self._junctions] = 0.0
         return kappa
 
-    def bands(self, u: np.ndarray):
-        """(sub, diag, super) for the healthy field u; the next call
-        overwrites them."""
-        cond = self.kappa(u, self._cells, self._kappa)
-        cond /= self._gaps
-        off = np.divide(cond, self._sides, out=self._off)
-        n = self._cells.size
+    def bands(self, kappa: np.ndarray):
+        """(sub, diag, super) of I - gamma*L(kappa); overwrites ``kappa``,
+        and the next call overwrites the bands."""
+        kappa /= self._gaps
+        off = np.divide(kappa, self._sides, out=self._off)
+        n = self._diag.size
         # 1 - gamma*((0 - super_i) - sub_{i-1}) is exactly 1 + gamma*(super_i + sub_{i-1})
-        diag = np.add(self._flat[:n], self._flat[n:], out=self._cells)
+        diag = np.add(self._flat[:n], self._flat[n:], out=self._diag)
         diag *= self._gamma
         diag += 1.0
         off *= -self._gamma
@@ -313,19 +290,11 @@ def assemble_implicit_v(
     coefficient (1 - u) evaluated from the freshly updated healthy field.
     Raises InstabilityError when an interface coefficient is negative.
     """
-    u_next = np.asarray(u_next, dtype=float)
-    system = _TumourSystem(m, m.n_cells, p.D * opts.dt)
-    if (system.kappa(u_next) < 0.0).any():
+    system = _BackwardEuler(m, m.n_cells, p.D * opts.dt)
+    kappa = system.kappa(1.0 - np.asarray(u_next, dtype=float))
+    if (kappa < 0.0).any():
         raise InstabilityError(_NEGATIVE_KAPPA)
-    return TridiagonalSystem(*system.bands(u_next), rhs=v_expl)
-
-
-def _acid_bands(A_cells, opts: SchemeOptions, mesh: Mesh, block: int):
-    """Bands of I - dt*L_A, decoupled at the junctions between runs of
-    ``block`` cells as in _TumourSystem."""
-    kappa = _interface_coefficients(np.asarray(A_cells, dtype=float), mesh, opts.interface_average_w)
-    kappa[block - 1 :: block] = 0.0
-    return _backward_euler_bands(kappa, opts.dt, mesh)
+    return TridiagonalSystem(*system.bands(kappa), rhs=v_expl)
 
 
 def assemble_implicit_w(
@@ -335,7 +304,9 @@ def assemble_implicit_w(
     m: Mesh,
 ) -> TridiagonalSystem:
     """Backward-Euler system (I - dt*L_A) w = w_expl for the acid stage."""
-    return TridiagonalSystem(*_acid_bands(A_cells, opts, m, m.n_cells), rhs=w_expl)
+    system = _BackwardEuler(m, m.n_cells, opts.dt)
+    kappa = system.kappa(np.array(A_cells, dtype=float), opts.interface_average_w)
+    return TridiagonalSystem(*system.bands(kappa), rhs=w_expl)
 
 
 def solve_tridiagonal(sys: TridiagonalSystem) -> np.ndarray:
@@ -375,7 +346,8 @@ def _per_cell(values, block: int):
 def _factor_acid(A_cells, opts: SchemeOptions, mesh: Mesh, block: int):
     """LU factors (LAPACK gttrf) of the acid matrix I - dt*L_A, as the
     (dl, d, du, du2, ipiv) arguments gttrs takes before the right-hand side."""
-    bands = _acid_bands(A_cells, opts, mesh, block)
+    system = _BackwardEuler(mesh, block, opts.dt)
+    bands = system.bands(system.kappa(np.array(A_cells, dtype=float), opts.interface_average_w))
     *factors, info = dgttrf(*bands, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
     if info:
         raise InstabilityError(f"singular acid matrix (LAPACK gttrf info={info})")
@@ -404,7 +376,10 @@ class _Stepper:
         self._dt = opts.dt
         self._kinetics = tuple(_per_cell([getattr(q, k) for q in params], block) for k in "drc")
         self._acid_lu = _factor_acid(A_cells, opts, mesh, block)
-        self._tumour = _TumourSystem(mesh, block, params[0].D * opts.dt)
+        self._tumour = _BackwardEuler(mesh, block, params[0].D * opts.dt)
+        # Work buffers of the tumour bands: 1 - u, then its interface average.
+        self._cells = np.empty(s.u.size)
+        self._kappa = np.empty(s.u.size - 1)
         self.history = np.empty((rows, 3, s.u.size))
         for i, field in enumerate((s.u, s.v, s.w)):
             self.history[0, i] = field.ravel()
@@ -429,7 +404,9 @@ class _Stepper:
 
     def _step(self, m, times):
         d, r, c = self._kinetics
-        dt, acid_lu, bands, rows = self._dt, self._acid_lu, self._tumour.bands, self._rows
+        dt, acid_lu, rows = self._dt, self._acid_lu, self._rows
+        interface, bands = self._tumour.kappa, self._tumour.bands
+        cells, kappa = self._cells, self._kappa
         for j in range(m):
             now, u, v, w = rows[j]
             new, u_new, v_new, w_new = rows[j + 1]
@@ -439,7 +416,8 @@ class _Stepper:
             new += now
             # Both solves overwrite their right-hand side, the contiguous
             # row of v or w, with the solution.
-            info = dgtsv(*bands(u_new), v_new, 1, 1, 1, 1)[-1]
+            np.subtract(1.0, u_new, out=cells)
+            info = dgtsv(*bands(interface(cells, ARITHMETIC, kappa)), v_new, 1, 1, 1, 1)[-1]
             if info:
                 return j, InstabilityError(_SINGULAR.format(info))
             info = dgttrs(*acid_lu, w_new, overwrite_b=1)[-1]
@@ -459,7 +437,7 @@ class _Stepper:
         finite = np.isfinite(history[1 : done + 1])
         if failure is None and finite.all() and not u.max(initial=0.0) > 1.0:
             return done, None
-        broken = (self._tumour.kappa(u) < 0.0).any(axis=-1)
+        broken = (self._tumour.kappa(1.0 - u) < 0.0).any(axis=-1)
         negative = broken.copy()
         broken[:done] |= ~finite.all(axis=(1, 2))
         if failure is not None:
@@ -473,35 +451,6 @@ class _Stepper:
         if k == done:
             return k, failure
         return k, InstabilityError(f"non-finite field values after step from t={t!r}", time=t)
-
-
-def _apply_operator(kappa: np.ndarray, q: np.ndarray, mesh: Mesh) -> np.ndarray:
-    """L q for the flux-form diffusion operator with coefficients kappa.
-
-    The diagonal is minus the sum of the off-diagonal bands, so each row is
-    applied to neighbour differences, which keeps L q exactly zero on
-    constant fields."""
-    sub, _, super_ = diffusion_operator(kappa, mesh)
-    jumps = np.diff(q)
-    out = np.zeros_like(q)
-    out[:-1] += super_ * jumps
-    out[1:] -= sub * jumps
-    return out
-
-
-def semidiscrete_rhs(
-    s: SimulationState,
-    A_cells: np.ndarray,
-    p: ModelParameters,
-    opts: SchemeOptions,
-):
-    """Time derivatives (du, dv, dw) of the semi-discrete system."""
-    du = reaction_u(s.u, s.w, p.d)
-    kappa_v = _interface_coefficients(1.0 - s.u, s.mesh, ARITHMETIC)
-    dv = reaction_v(s.v, p.r) + p.D * _apply_operator(kappa_v, s.v, s.mesh)
-    kappa_w = _interface_coefficients(np.asarray(A_cells), s.mesh, opts.interface_average_w)
-    dw = reaction_w(s.v, s.w, p.c) + _apply_operator(kappa_w, s.w, s.mesh)
-    return du, dv, dw
 
 
 def _per_run(value, kind) -> tuple:

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from acidfront.cli import main
-from acidfront.scenarios import parse_config, render_config
+from acidfront.scenarios import parse_config, preset, render_config
 
 
 def write_small_config(path, **overrides):
@@ -94,6 +94,22 @@ class TestSimulate:
         assert rc == 1
         assert "d must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, key",
+        [("table3-row01-pc", "profile.periods"), ("table3-row01-pc", "profile.alpha1"),
+         ("table1-d12.5", "profile.a")],
+    )
+    def test_infinite_profile_parameter_rejected(self, tmp_path, capsys, name, key):
+        # used to crash with a ZeroDivisionError or stop as a numerical instability (exit 2)
+        lines = render_config(preset(name)).splitlines()
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("".join(
+            f"{key}=inf\n" if line.startswith(f"{key}=") else f"{line}\n" for line in lines
+        ))
+        rc = main(["simulate", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "invalid profile" in capsys.readouterr().err
+
     def test_overrides(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
         write_small_config(cfg_path)
@@ -127,6 +143,14 @@ class TestHomogenize:
     def test_bad_row_selector(self, capsys):
         assert main(["homogenize", "--rows", "apple"]) == 1
         assert main(["homogenize", "--rows", "99"]) == 1
+
+    @pytest.mark.parametrize(
+        "args", [["--rows", "5", "--tol-gap", "nan"], ["--rows", "5", "--tol-osc", "-1"], ["--rows", ","]]
+    )
+    def test_meaningless_input_rejected(self, capsys, args):
+        # each used to exit 0, with NO for both families or an empty table
+        assert main(["homogenize", *args]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_single_row(self, tmp_path, capsys):
         rc = main(["homogenize", "--rows", "5", "--out", str(tmp_path)])

@@ -103,6 +103,25 @@ class TestProfileValidation:
             Sinusoidal(0.4, 0.6, 0.0)
         Sinusoidal(0.4, 0.4, 50.0)  # degenerate amplitude is legal
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda inf: Constant(inf),
+            lambda inf: SingleJump(inf, 1.0, 0.5),
+            lambda inf: SingleJump(1.0, inf, 0.5),
+            lambda inf: PeriodicPiecewiseConstant(inf, 1.0, 0.5, 10.0),
+            lambda inf: PeriodicPiecewiseConstant(0.1, inf, 0.5, 10.0),
+            lambda inf: PeriodicPiecewiseConstant(0.1, 1.0, 0.5, inf),
+            lambda inf: Sinusoidal(0.4, inf, 50.0),
+            lambda inf: Sinusoidal(0.4, 0.6, inf),
+        ],
+        ids=["a", "a1", "a2", "pc-alpha0", "pc-alpha1", "periods", "sin-alpha1", "omega"],
+    )
+    def test_infinite_parameters_rejected(self, make):
+        # these used to construct and fail later, in the projection or the march
+        with pytest.raises(ValueError, match="finite"):
+            make(math.inf)
+
 
 class TestEvaluateProfile:
     def test_sinusoidal_midline(self):

@@ -398,10 +398,23 @@ class TestRegimeExpectations:
 
         assert detect_gap(preset_run("periodic-w50-d60").final_state).present
 
-    def test_empty_homogenization_selection(self):
-        from acidfront.scenarios import run_homogenization_suite
+    def test_empty_homogenization_selection(self, monkeypatch):
+        from acidfront import scenarios
 
-        assert run_homogenization_suite(()) == []
+        monkeypatch.setattr(scenarios, "run_configs", None)  # no run may start
+        with pytest.raises(ConfigurationError, match="no homogenization row"):
+            scenarios.run_homogenization_suite(())
+
+    @pytest.mark.parametrize(
+        "tols", [{"tol_gap": float("nan")}, {"tol_gap": float("inf")}, {"tol_osc": -1.0}]
+    )
+    def test_homogenization_tolerances_must_be_finite_and_nonnegative(self, monkeypatch, tols):
+        # used to run and report NO for every family
+        from acidfront import scenarios
+
+        monkeypatch.setattr(scenarios, "run_configs", None)  # no run may start
+        with pytest.raises(ConfigurationError, match="finite and >= 0"):
+            scenarios.run_homogenization_suite(scenarios.TABLE3_ROWS[4:5], **tols)
 
     # Qualitative single-jump outcomes: the gap needs a much larger d when
     # the acid enters the slow-diffusion region first, and is wide open for

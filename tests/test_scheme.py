@@ -31,12 +31,18 @@ from acidfront.scheme import (
     interface_diffusivity_harmonic,
     reaction_step_limit,
     run,
-    semidiscrete_rhs,
     solve_tridiagonal,
     step_imex,
 )
 from acidfront import scheme
 from conftest import raw_params
+from oracles import (
+    backward_euler_bands,
+    dense,
+    interface_coefficients,
+    is_diagonally_dominant,
+    semidiscrete_rhs,
+)
 
 
 def gaussian_elimination(matrix, rhs):
@@ -169,10 +175,10 @@ class TestSolveTridiagonal:
             diag[:-1] += np.abs(sup)
             rhs = rng.uniform(-5.0, 5.0, n)
             sys = TridiagonalSystem(sub, diag, sup, rhs)
-            assert sys.is_diagonally_dominant()
+            assert is_diagonally_dominant(sys)
             assert np.allclose(
                 solve_tridiagonal(sys),
-                gaussian_elimination(sys.dense(), rhs),
+                gaussian_elimination(dense(sys), rhs),
                 rtol=1e-13, atol=1e-13,
             )
 
@@ -185,7 +191,7 @@ class TestSolveTridiagonal:
         rhs = rng.uniform(-1.0, 1.0, n)
         sys = TridiagonalSystem(sub, diag, sup, rhs)
         x = solve_tridiagonal(sys)
-        residual = sys.dense() @ x - rhs
+        residual = dense(sys) @ x - rhs
         assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(rhs))
 
     def test_singular_system_raises(self):
@@ -251,7 +257,7 @@ class TestAssembleImplicitV:
         for _ in range(10):
             u = rng.uniform(0.0, 1.0, m.n_cells)
             sys = assemble_implicit_v(u, np.zeros(m.n_cells), reference_params(), opts, m)
-            assert sys.is_diagonally_dominant()
+            assert is_diagonally_dominant(sys)
 
 
 class TestAssembleImplicitW:
@@ -288,7 +294,7 @@ class TestAssembleImplicitW:
         opts = SchemeOptions(dt=0.01)
         a = rng.uniform(0.01, 2.0, m.n_cells)
         sys = assemble_implicit_w(a, np.zeros(m.n_cells), opts, m)
-        assert sys.is_diagonally_dominant()
+        assert is_diagonally_dominant(sys)
 
 
 class TestSemidiscreteRhs:
@@ -333,22 +339,6 @@ class TestSemidiscreteRhs:
 
 
 class TestDiffusionOperator:
-    def test_splitting_identity_on_uniform_mesh(self):
-        # flux-form coefficients equal the regrouped transport+diffusion form
-        rng = np.random.default_rng(123)
-        for n in (8, 64, 256):
-            m = build_uniform_mesh(0.0, 1.0, 1.0 / n)
-            a = rng.uniform(0.1, 2.0, n)
-            kappa = 0.5 * (a[:-1] + a[1:])
-            sub, diag, sup = diffusion_operator(kappa, m)
-            dx2 = (1.0 / n) ** 2
-            i = np.arange(1, n - 1)
-            assert np.allclose(sup[1:], (a[i] + a[i + 1]) / (2.0 * dx2), rtol=1e-15)
-            assert np.allclose(sub[:-1], (a[i - 1] + a[i]) / (2.0 * dx2), rtol=1e-15)
-            assert np.allclose(
-                diag[1:-1], -(a[i - 1] + 2.0 * a[i] + a[i + 1]) / (2.0 * dx2), rtol=1e-15
-            )
-
     def test_interior_row_sums_vanish(self):
         m = mesh_from_interfaces([0.0, 0.1, 0.35, 0.6, 1.0])
         kappa = np.array([0.3, 1.0, 0.7])
@@ -358,6 +348,39 @@ class TestDiffusionOperator:
         rows[:-1] += sup
         rows[1:] += sub
         assert np.allclose(rows, 0.0, atol=1e-12)
+
+
+class TestBackwardEulerBuilder:
+    """Every implicit matrix comes from scheme._BackwardEuler; its bands
+    equal the reference I - gamma*L(kappa) of diffusion_operator exactly."""
+
+    MESHES = {
+        "uniform": build_uniform_mesh(0.0, 1.0, 1.0 / 16),
+        "nonuniform": mesh_from_interfaces([0.0, 0.05, 0.2, 0.3, 0.55, 0.6, 0.62, 0.8, 1.0]),
+    }
+
+    @pytest.mark.parametrize("runs", [1, 3])
+    @pytest.mark.parametrize("kind", ["uniform", "nonuniform"])
+    @pytest.mark.parametrize("average", [ARITHMETIC, HARMONIC])
+    def test_bands_equal_reference(self, average, kind, runs):
+        block = self.MESHES[kind].n_cells
+        mesh = scheme._end_to_end(self.MESHES[kind], runs)
+        n, gamma = mesh.n_cells, 0.0137
+        rng = np.random.default_rng(29)
+        builder = scheme._BackwardEuler(mesh, block, gamma)
+        # A first call fills the reused buffers, which the checked call
+        # must overwrite completely.
+        builder.bands(builder.kappa(rng.uniform(0.05, 2.0, n), average, np.empty(n - 1)))
+        cells = rng.uniform(0.05, 2.0, n)
+        kappa = interface_coefficients(cells, mesh, average)
+        kappa[block - 1 :: block] = 0.0
+        expected = backward_euler_bands(kappa, gamma, mesh)
+        got = builder.bands(builder.kappa(cells.copy(), average, np.empty(n - 1)))
+        for band, reference in zip(got, expected):
+            assert np.array_equal(band, reference)
+        sub, _, sup = got
+        assert not sub[block - 1 :: block].any() and not sup[block - 1 :: block].any()
+        assert np.all(sub[np.arange(n - 1) % block != block - 1] < 0.0)
 
 
 class TestStepImex:
