@@ -72,6 +72,10 @@ def _off_grid(t: float, dt: float) -> bool:
     return abs(t / dt - step_count(0.0, t, dt)) > GRID_TOL
 
 
+def _snapshot_name(t: float) -> str:
+    return f"snapshot_t{t:g}.csv"
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Complete description of one simulation run."""
@@ -116,6 +120,8 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"final time {self.T!r} is not a whole number of steps dt={self.dt!r}"
             )
+        if len({_snapshot_name(t) for t in self.snapshots}) < len(set(self.snapshots)):
+            raise ConfigurationError(f"distinct snapshot times {self.snapshots!r} share a file name")
         for t in self.snapshots:
             if not 0.0 <= t <= self.T:
                 raise ConfigurationError(
@@ -306,50 +312,11 @@ def preset(name: str) -> ScenarioConfig:
 # Config file format: flat key=value text
 
 _PROFILE_KINDS = {
-    "constant": (Constant, ("a",)),
-    "single_jump": (SingleJump, ("a1", "a2", "x_jump")),
-    "periodic_piecewise_constant": (
-        PeriodicPiecewiseConstant,
-        ("alpha0", "alpha1", "beta", "periods"),
-    ),
-    "sinusoidal": (Sinusoidal, ("alpha0", "alpha1", "omega")),
+    "constant": Constant,
+    "single_jump": SingleJump,
+    "periodic_piecewise_constant": PeriodicPiecewiseConstant,
+    "sinusoidal": Sinusoidal,
 }
-
-_BOOL_KEYS = ("wavespeed", "gap", "classification")
-
-
-def _profile_kind(profile: DiffusionProfile) -> str:
-    for kind, (cls, _) in _PROFILE_KINDS.items():
-        if type(profile) is cls:
-            return kind
-    raise ConfigurationError(f"unsupported profile type {type(profile).__name__}")
-
-
-def render_config(cfg: ScenarioConfig) -> str:
-    """Serialize a scenario to flat key=value text (parse round-trips)."""
-    kind = _profile_kind(cfg.profile)
-    lines = [
-        f"d={cfg.params.d!r}",
-        f"r={cfg.params.r!r}",
-        f"D={cfg.params.D!r}",
-        f"c={cfg.params.c!r}",
-        f"profile={kind}",
-    ]
-    for field in _PROFILE_KINDS[kind][1]:
-        lines.append(f"profile.{field}={getattr(cfg.profile, field)!r}")
-    lines += [
-        f"initial={cfg.initial}",
-        f"xmin={cfg.xmin!r}",
-        f"xmax={cfg.xmax!r}",
-        f"dx={cfg.dx!r}",
-        f"dt={cfg.dt!r}",
-        f"T={cfg.T!r}",
-        "snapshots=" + ",".join(repr(t) for t in cfg.snapshots),
-        f"wavespeed={str(cfg.wavespeed).lower()}",
-        f"gap={str(cfg.gap).lower()}",
-        f"classification={str(cfg.classification).lower()}",
-    ]
-    return "\n".join(lines) + "\n"
 
 
 def _parse_float(key: str, raw: str) -> float:
@@ -360,11 +327,46 @@ def _parse_float(key: str, raw: str) -> float:
 
 
 def _parse_bool(key: str, raw: str) -> bool:
-    if raw == "true":
-        return True
-    if raw == "false":
-        return False
-    raise ConfigurationError(f"key {key!r}: expected true or false, got {raw!r}")
+    if raw not in ("true", "false"):
+        raise ConfigurationError(f"key {key!r}: expected true or false, got {raw!r}")
+    return raw == "true"
+
+
+def _parse_floats(key: str, raw: str) -> tuple[float, ...]:
+    items = raw.split(",") if raw else []
+    if "" in items:
+        raise ConfigurationError(f"key {key!r}: empty item in {raw!r}")
+    return tuple(_parse_float(key, item) for item in items)
+
+
+# How a value of each field annotation is written and read back.
+_FORMATS = {
+    "float": (repr, _parse_float),
+    "bool": (lambda value: str(value).lower(), _parse_bool),
+    "str": (str, lambda key, raw: raw),
+    "tuple[float, ...]": (lambda values: ",".join(map(repr, values)), _parse_floats),
+}
+
+# The keys of the scenario itself; its first two fields, params and profile,
+# nest the keys of their own dataclasses.
+_SCENARIO_FIELDS = dataclasses.fields(ScenarioConfig)[2:]
+
+
+def render_config(cfg: ScenarioConfig) -> str:
+    """Serialize a scenario to flat key=value text (parse round-trips)."""
+    kind = next((k for k, cls in _PROFILE_KINDS.items() if type(cfg.profile) is cls), None)
+    if kind is None:
+        raise ConfigurationError(f"unsupported profile type {type(cfg.profile).__name__}")
+
+    def lines(obj, fields, prefix=""):
+        return [f"{prefix}{f.name}={_FORMATS[f.type][0](getattr(obj, f.name))}" for f in fields]
+
+    return "\n".join([
+        *lines(cfg.params, dataclasses.fields(cfg.params)),
+        f"profile={kind}",
+        *lines(cfg.profile, dataclasses.fields(cfg.profile), "profile."),
+        *lines(cfg, _SCENARIO_FIELDS),
+    ]) + "\n"
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -388,45 +390,24 @@ def parse_config(text: str) -> ScenarioConfig:
         except KeyError:
             raise ConfigurationError(f"missing required key {key!r}") from None
 
+    def values(fields, prefix="") -> dict:
+        return {f.name: _FORMATS[f.type][1](prefix + f.name, take(prefix + f.name)) for f in fields}
+
     kind = take("profile")
     if kind not in _PROFILE_KINDS:
         raise ConfigurationError(
             f"unknown profile kind {kind!r} (choose one of {sorted(_PROFILE_KINDS)})"
         )
-    cls, fields = _PROFILE_KINDS[kind]
+    cls = _PROFILE_KINDS[kind]
     try:
-        profile = cls(**{f: _parse_float(f"profile.{f}", take(f"profile.{f}")) for f in fields})
+        profile = cls(**values(dataclasses.fields(cls), "profile."))
     except ValueError as exc:
         raise ConfigurationError(f"invalid profile: {exc}") from exc
-
     try:
-        params = ModelParameters(
-            d=_parse_float("d", take("d")),
-            r=_parse_float("r", take("r")),
-            D=_parse_float("D", take("D")),
-            c=_parse_float("c", take("c")),
-        )
+        params = ModelParameters(**values(dataclasses.fields(ModelParameters)))
     except ValueError as exc:
         raise ConfigurationError(f"invalid parameters: {exc}") from exc
-
-    raw_snapshots = take("snapshots")
-    snapshots = tuple(
-        _parse_float("snapshots", item) for item in raw_snapshots.split(",") if item
-    )
-    cfg = ScenarioConfig(
-        params=params,
-        profile=profile,
-        initial=take("initial"),
-        xmin=_parse_float("xmin", take("xmin")),
-        xmax=_parse_float("xmax", take("xmax")),
-        dx=_parse_float("dx", take("dx")),
-        dt=_parse_float("dt", take("dt")),
-        T=_parse_float("T", take("T")),
-        snapshots=snapshots,
-        wavespeed=_parse_bool("wavespeed", take("wavespeed")),
-        gap=_parse_bool("gap", take("gap")),
-        classification=_parse_bool("classification", take("classification")),
-    )
+    cfg = ScenarioConfig(params, profile, **values(_SCENARIO_FIELDS))
     if entries:
         raise ConfigurationError(f"unknown keys: {sorted(entries)}")
     return cfg
@@ -507,7 +488,7 @@ class SnapshotWriter:
 
     def write(self, fields: np.ndarray, label_time: float):
         """Write the (3, N) fields u, v, w as the snapshot at ``label_time``."""
-        path = self._outdir / f"snapshot_t{label_time:g}.csv"
+        path = self._outdir / _snapshot_name(label_time)
         with open(path, "w") as fh:
             fh.write("x,u,v,w\n")
             for x, u, v, w in zip(self._centers, *fields):
@@ -531,64 +512,49 @@ def _run_warnings(cfg: ScenarioConfig, front_near_boundary) -> tuple[str, ...]:
     nearest = aliasing_multiple(cfg.dx, cfg.profile)
     if nearest:
         run_warnings.append(f"cell width ~ {nearest} x diffusivity period; oscillations alias")
-    if cfg.wavespeed and front_near_boundary:
+    if front_near_boundary:
         run_warnings.append("tumour front approached the domain boundary")
     return tuple(run_warnings)
 
 
 def _batch_key(cfg: ScenarioConfig):
-    """What the runs of one batch must share: mesh, dt, T and D."""
-    return (cfg.xmin, cfg.xmax, cfg.dx, cfg.dt, cfg.T, cfg.params.D)
+    """What the runs of one batch must share: mesh, dt, T and D, and whether
+    they track the front speed."""
+    return (cfg.xmin, cfg.xmax, cfg.dx, cfg.dt, cfg.T, cfg.params.D, cfg.wavespeed)
 
 
 def _run_batch(cfgs, extra_observers=()) -> list[RunResult]:
     """March scenarios sharing one ``_batch_key`` as one block-diagonal
-    batch; each result's wall time is that of the whole batch.
-
-    The runs that track the front speed march first, so that the speed
-    recorder observes a leading slice of the batch and checks and warns
-    about those runs only."""
-    order = sorted(range(len(cfgs)), key=lambda b: not cfgs[b].wavespeed)
-    batch = [cfgs[b] for b in order]
-    first = batch[0]
+    batch; each result's wall time is that of the whole batch."""
+    first = cfgs[0]
     mesh = first.mesh()
-    state0 = SimulationState.stack([initial_state(cfg.initial, mesh) for cfg in batch])
-
-    observers = list(extra_observers)
+    state0 = SimulationState.stack([initial_state(cfg.initial, mesh) for cfg in cfgs])
     positivity = PositivityRecorder(initial=state0)
-    observers.append(positivity)
-    tracked = sum(cfg.wavespeed for cfg in batch)
-    recorder = WaveSpeedRecorder(mesh, first.dt) if tracked else None
-    if tracked == len(batch):
-        observers.append(recorder)
-    elif tracked:
-        observers.append(lambda step, times, fields: recorder(step, times, fields[:, :, :tracked]))
+    recorder = WaveSpeedRecorder(mesh, first.dt) if first.wavespeed else None
+    observers = [*extra_observers, positivity] + ([recorder] if recorder else [])
 
     started = time.perf_counter()
     final = run(
         state0,
-        [cfg.profile for cfg in batch],
-        [cfg.params for cfg in batch],
+        [cfg.profile for cfg in cfgs],
+        [cfg.params for cfg in cfgs],
         SchemeOptions(dt=first.dt),
         first.T,
         observers=observers,
     )
     elapsed = time.perf_counter() - started
 
-    runs = (len(batch),)
+    runs = (len(cfgs),)
     min_u, min_v, min_w = (
         np.broadcast_to(m, runs) for m in (positivity.min_u, positivity.min_v, positivity.min_w)
     )
-    near = np.zeros(runs, dtype=bool)
-    if recorder is not None:
-        near[:tracked] = recorder.front_near_boundary
+    near = np.broadcast_to(recorder.front_near_boundary if recorder else False, runs)
     steps = step_count(state0.time, first.T, first.dt)
-    results: list = [None] * len(batch)
-    for b, (cfg, state) in enumerate(zip(batch, final.unstack())):
-        results[order[b]] = RunResult(
+    return [
+        RunResult(
             config=cfg,
             final_state=state,
-            speed_series=recorder.series(b) if cfg.wavespeed else None,
+            speed_series=recorder.series(b) if recorder else None,
             min_u=float(min_u[b]),
             min_v=float(min_v[b]),
             min_w=float(min_w[b]),
@@ -596,7 +562,8 @@ def _run_batch(cfgs, extra_observers=()) -> list[RunResult]:
             wall_time_s=elapsed,
             warnings=_run_warnings(cfg, near[b]),
         )
-    return results
+        for b, (cfg, state) in enumerate(zip(cfgs, final.unstack()))
+    ]
 
 
 def run_config(cfg: ScenarioConfig, extra_observers=()) -> RunResult:
@@ -606,8 +573,8 @@ def run_config(cfg: ScenarioConfig, extra_observers=()) -> RunResult:
 
 def run_configs(cfgs) -> list[RunResult]:
     """Execute scenarios in memory, in the order given.  Those sharing the
-    mesh, dt, T and D march together as one batch: one block-diagonal
-    system, one LAPACK call per solve for all of them."""
+    mesh, dt, T, D and speed tracking march together as one batch: one
+    block-diagonal system, one LAPACK call per solve for all of them."""
     groups: dict[tuple, list[int]] = {}
     for i, cfg in enumerate(cfgs):
         groups.setdefault(_batch_key(cfg), []).append(i)

@@ -1,3 +1,4 @@
+import dataclasses
 import shutil
 import subprocess
 import sys
@@ -109,6 +110,16 @@ class TestSimulate:
         rc = main(["simulate", str(cfg_path), "--out", str(tmp_path / "out")])
         assert rc == 1
         assert "invalid profile" in capsys.readouterr().err
+
+    def test_empty_snapshot_item_rejected(self, tmp_path, capsys):
+        # used to exit 0 with two snapshots written
+        cfg = dataclasses.replace(preset("table1-d12.5"), dt=0.001, T=0.003, snapshots=())
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(render_config(cfg).replace("snapshots=\n", "snapshots=0.001,,0.003\n"))
+        rc = main(["simulate", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "empty item" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("snapshot_*"))
 
     def test_overrides(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"

@@ -102,6 +102,11 @@ class TestScenarioConfigValidation:
         with pytest.raises(ConfigurationError, match="whole number of steps"):
             small_config(snapshots=(0.0, 0.255, 0.5))
 
+    def test_snapshot_times_sharing_a_file_name(self):
+        # both used to be written to snapshot_t1e+06.csv, the second over the first
+        with pytest.raises(ConfigurationError, match="share a file name"):
+            small_config(dt=1.0, T=1000001.0, snapshots=(1000000.0, 1000001.0))
+
     def test_float_noise_stays_on_the_grid(self):
         # 0.055 / 0.011 = 5.000000000000001
         assert small_config(dt=0.011, T=0.055, snapshots=(0.0, 0.055)).T == 0.055
@@ -153,6 +158,91 @@ class TestPresets:
             assert parse_config(render_config(cfg)) == cfg
 
 
+# The literal file of one preset per profile kind: keys, key order and number
+# formats are the file format.
+FILE_TEXT = {
+    "table1-d12.5": """\
+d=12.5
+r=1.0
+D=4e-05
+c=70.0
+profile=constant
+profile.a=1.0
+initial=piecewise_linear
+xmin=-1.0
+xmax=1.0
+dx=0.005
+dt=0.01
+T=20.0
+snapshots=0.0,20.0
+wavespeed=true
+gap=true
+classification=true
+""",
+    "jump-increasing-d12.5": """\
+d=12.5
+r=1.0
+D=4e-05
+c=70.0
+profile=single_jump
+profile.a1=0.1
+profile.a2=1.0
+profile.x_jump=0.625
+initial=riemann
+xmin=0.0
+xmax=1.0
+dx=0.005
+dt=0.01
+T=20.0
+snapshots=0.0,20.0
+wavespeed=true
+gap=true
+classification=true
+""",
+    "table3-row01-pc": """\
+d=0.5
+r=1.0
+D=4e-05
+c=70.0
+profile=periodic_piecewise_constant
+profile.alpha0=0.01
+profile.alpha1=1.0
+profile.beta=0.5
+profile.periods=50.0
+initial=piecewise_linear
+xmin=0.0
+xmax=1.0
+dx=0.005
+dt=0.01
+T=20.0
+snapshots=0.0,20.0
+wavespeed=true
+gap=true
+classification=true
+""",
+    "periodic-w50-d20": """\
+d=20.0
+r=1.0
+D=4e-05
+c=70.0
+profile=sinusoidal
+profile.alpha0=0.1
+profile.alpha1=1.0
+profile.omega=50.0
+initial=piecewise_linear
+xmin=0.0
+xmax=1.0
+dx=0.005
+dt=0.01
+T=20.0
+snapshots=0.0,20.0
+wavespeed=true
+gap=true
+classification=true
+""",
+}
+
+
 class TestConfigFormat:
     def test_round_trip_small(self):
         cfg = small_config()
@@ -202,6 +292,18 @@ class TestConfigFormat:
     def test_empty_snapshots_round_trip(self):
         cfg = small_config(snapshots=())
         assert parse_config(render_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("raw", ["0.25,,0.5", ",0.5", "0.25,", ","])
+    def test_empty_snapshot_item_rejected(self, raw):
+        # empty items used to be dropped silently
+        text = render_config(small_config()).replace("snapshots=0.0,0.25,0.5", f"snapshots={raw}")
+        with pytest.raises(ConfigurationError, match="empty item"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("name", FILE_TEXT)
+    def test_file_bytes(self, name):
+        assert render_config(preset(name)) == FILE_TEXT[name]
+        assert parse_config(FILE_TEXT[name]) == preset(name)
 
 
 class TestRunScenario:
