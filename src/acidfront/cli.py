@@ -44,9 +44,10 @@ def _apply_overrides(cfg, args):
         replacements["dt"] = args.dt
     if args.T is not None:
         replacements["T"] = args.T
-        replacements["snapshots"] = tuple(
-            t for t in cfg.snapshots if t <= args.T
-        )
+        # A snapshot of the final fields moves with the final time.
+        kept = tuple(t for t in cfg.snapshots if t <= args.T)
+        final = (args.T,) if cfg.T in cfg.snapshots and args.T not in kept else ()
+        replacements["snapshots"] = kept + final
     if args.d is not None:
         try:
             replacements["params"] = dataclasses.replace(cfg.params, d=args.d)
@@ -76,7 +77,7 @@ def _parse_rows(selector: str):
     for token in selector.split(","):
         token = token.strip()
         if not token:
-            continue
+            raise ConfigurationError(f"empty item in row selector {selector!r}")
         try:
             index = int(token)
         except ValueError:

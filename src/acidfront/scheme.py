@@ -46,21 +46,59 @@ that step and time.  Then the observers get the block, once, as
 increments, the running minima, the front-proximity test and the snapshots
 are one vectorised pass per block too.  ``step_imex`` is the march with a
 block of one step.  Every operation runs in the order of a step at a time,
-so the numbers do not depend on the block size."""
+so the numbers do not depend on the block size.
+
+The three LAPACK routines (dgtsv, dgttrf, dgttrs) are scipy's, bound from
+its f2py extension module ``scipy.linalg._flapack``, which this module
+loads on its own (``_lapack_routines``).  Importing them through
+``scipy.linalg`` would run that package's ``__init__``, which costs about
+0.3 s (mostly scipy's array-API copy of numpy): more than an everyday
+preset run marches.  The module is registered under its own name, so
+``scipy.linalg.lapack`` exports the very same function objects, whichever
+of the two is imported first."""
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
+import sysconfig
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+import scipy
 from numpy.lib.stride_tricks import as_strided
-from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from .core import ModelParameters, reaction_u, reaction_v, reaction_w
 from .errors import InstabilityError, StabilityWarning
 from .mesh import DiffusionProfile, Mesh, project_cell_averages
+
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _lapack_routines():
+    """LAPACK's dgtsv, dgttrf and dgttrs from scipy's f2py extension module,
+    loaded without running ``scipy.linalg``.
+
+    The module is reused if ``scipy.linalg`` loaded it first, and otherwise
+    registered under its own name, so a later ``import scipy.linalg`` reuses
+    it: both see the same function objects."""
+    module = sys.modules.get(_FLAPACK)
+    if module is None:
+        suffix = sysconfig.get_config_var("EXT_SUFFIX")
+        path = Path(scipy.__file__).parent / "linalg" / f"_flapack{suffix}"
+        if not path.is_file():
+            raise ImportError(f"scipy {scipy.__version__} has no LAPACK extension at {path}")
+        spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[_FLAPACK] = module
+        spec.loader.exec_module(module)
+    return module.dgtsv, module.dgttrf, module.dgttrs
+
+
+dgtsv, dgttrf, dgttrs = _lapack_routines()
 
 ARITHMETIC = "arithmetic"
 HARMONIC = "harmonic"

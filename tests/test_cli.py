@@ -135,6 +135,26 @@ class TestSimulate:
         assert written.params.d == 0.5
         assert written.dx == 0.02
 
+    def test_final_snapshot_follows_T(self, tmp_path, capsys):
+        # used to write only snapshot_t0.csv: no file held the final fields
+        rc = main(["simulate", "table1-d12.5", "--T", "0.5", "--out", str(tmp_path / "out")])
+        assert rc == 0
+        written = sorted(path.name for path in (tmp_path / "out").glob("snapshot_*"))
+        assert written == ["snapshot_t0.5.csv", "snapshot_t0.csv"]
+
+    @pytest.mark.parametrize(
+        "snapshots, T, expected",
+        [((0.0, 0.5), "0.8", ["0", "0.5", "0.8"]), ((0.2,), "0.3", ["0.2"])],
+        ids=["later-final-time", "no-final-snapshot"],
+    )
+    def test_only_a_final_snapshot_follows_T(self, tmp_path, capsys, snapshots, T, expected):
+        cfg_path = tmp_path / "run.cfg"
+        write_small_config(cfg_path, snapshots=snapshots)
+        rc = main(["simulate", str(cfg_path), "--T", T, "--out", str(tmp_path / "out")])
+        assert rc == 0
+        written = {path.name for path in (tmp_path / "out").glob("snapshot_*")}
+        assert written == {f"snapshot_t{t}.csv" for t in expected}
+
     def test_bad_override_value(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
         write_small_config(cfg_path)
@@ -162,6 +182,12 @@ class TestHomogenize:
         # each used to exit 0, with NO for both families or an empty table
         assert main(["homogenize", *args]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("rows", ["3,,3", "3,"])
+    def test_empty_row_item_rejected(self, capsys, rows):
+        # each used to exit 0, skipping the empty item
+        assert main(["homogenize", "--rows", rows]) == 1
+        assert capsys.readouterr().err.startswith("error: empty item")
 
     def test_single_row(self, tmp_path, capsys):
         rc = main(["homogenize", "--rows", "5", "--out", str(tmp_path)])
@@ -208,6 +234,15 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "table1-d12.5" in proc.stdout
+
+    def test_import_leaves_scipy_linalg_out(self):
+        # importing scipy.linalg took longer than an everyday simulate call
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, acidfront.cli; print('scipy.linalg' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     @pytest.mark.skipif(shutil.which("acidfront") is None, reason="script not on PATH")
     def test_console_script(self):

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -66,6 +68,33 @@ def gaussian_elimination(matrix, rhs):
     for row in range(n - 1, -1, -1):
         x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
     return x
+
+
+class TestLapackRoutines:
+    @pytest.mark.parametrize("first, second", [
+        ("acidfront.scheme", "scipy.linalg.lapack"),
+        ("scipy.linalg.lapack", "acidfront.scheme"),
+    ])
+    def test_same_objects_as_scipy_linalg(self, first, second):
+        # scheme loads scipy's LAPACK extension itself; a scipy that moved it
+        # must fail here, not hand the solver other routines
+        code = (
+            f"import {first}, {second}\n"
+            "import acidfront.scheme as s, scipy.linalg.lapack as lapack\n"
+            "print([getattr(s, n) is getattr(lapack, n) for n in ('dgtsv', 'dgttrf', 'dgttrs')])\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[True, True, True]\n"
+
+    def test_missing_extension_is_an_import_error(self, tmp_path):
+        (tmp_path / "scipy").mkdir()
+        (tmp_path / "scipy" / "__init__.py").write_text("__version__ = '0.0'\n")
+        code = f"import sys\nsys.path.insert(0, {str(tmp_path)!r})\nimport acidfront.scheme\n"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 1
+        missing = tmp_path / "scipy" / "linalg" / "_flapack"
+        assert f"ImportError: scipy 0.0 has no LAPACK extension at {missing}" in proc.stderr
 
 
 class TestInterfaceAverages:
