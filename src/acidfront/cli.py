@@ -56,8 +56,20 @@ def _apply_overrides(cfg, args):
     return dataclasses.replace(cfg, **replacements) if replacements else cfg
 
 
+def _prepare_out(out):
+    """Create the ``--out`` directory, if one is given, before any run; a
+    path that cannot be a directory (an existing file, say) is a
+    configuration error."""
+    if out is not None:
+        try:
+            Path(out).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot make --out {out!r} a directory: {exc}") from exc
+
+
 def _cmd_simulate(args) -> int:
     cfg = _apply_overrides(_load_scenario(args.scenario), args)
+    _prepare_out(args.out)
     summary = run_scenario(cfg, args.out)
     sys.stdout.write(summary.render())
     print(f"outputs written to {args.out}")
@@ -94,6 +106,7 @@ def _parse_rows(selector: str):
 
 def _cmd_homogenize(args) -> int:
     rows = _parse_rows(args.rows)
+    _prepare_out(args.out)
     results = run_homogenization_suite(
         rows, outdir=args.out, tol_gap=args.tol_gap, tol_osc=args.tol_osc
     )
@@ -124,6 +137,7 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_speed_table(args) -> int:
+    _prepare_out(args.out)
     rows = speed_table(args.presets)
     print(f"{'preset':<32} {'tail speed':>12} {'peak-to-peak':>13} {'2*sqrt(rD)':>11}")
     for row in rows:
@@ -133,7 +147,6 @@ def _cmd_speed_table(args) -> int:
         )
     if args.out is not None:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         with open(out / "speeds.csv", "w") as fh:
             fh.write("preset,tail_mean,tail_peak_to_peak,fkpp_bound\n")
             for row in rows:

@@ -8,8 +8,8 @@ class ConfigurationError(Exception):
 class InstabilityError(RuntimeError):
     """Raised when the time stepper produces or detects a corrupted state.
 
-    Carries optional ``step`` and ``time`` attributes identifying where a
-    run broke down.
+    ``step`` and ``time`` say where a run broke down: ``scheme.run`` sets
+    both, ``scheme.step_imex`` sets ``time``, other raisers neither.
     """
 
     def __init__(self, message, step=None, time=None):

@@ -58,10 +58,6 @@ class Mesh:
         return float(self.interfaces[-1])
 
     @property
-    def length(self) -> float:
-        return self.xmax - self.xmin
-
-    @property
     def dx(self) -> float:
         """Common cell width; only meaningful on uniform meshes."""
         if not self.uniform:

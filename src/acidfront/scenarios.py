@@ -475,6 +475,15 @@ class RunSummary:
         return "\n".join(lines) + "\n"
 
 
+def _write_csv(path, header: str, formats, columns):
+    """Write the equal-length ``columns`` as CSV rows under ``header``, each
+    value formatted by its column's entry of ``formats``."""
+    row = ",".join(formats) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(row % values for values in zip(*columns))
+
+
 class SnapshotWriter:
     """Run observer writing x,u,v,w CSV snapshots of a single run on
     ``mesh`` at requested times, which must be whole numbers of steps dt;
@@ -489,12 +498,7 @@ class SnapshotWriter:
     def write(self, fields: np.ndarray, label_time: float):
         """Write the (3, N) fields u, v, w as the snapshot at ``label_time``."""
         path = self._outdir / _snapshot_name(label_time)
-        with open(path, "w") as fh:
-            fh.write("x,u,v,w\n")
-            for x, u, v, w in zip(self._centers, *fields):
-                fh.write(
-                    f"{_FLOAT_FMT % x},{_FLOAT_FMT % u},{_FLOAT_FMT % v},{_FLOAT_FMT % w}\n"
-                )
+        _write_csv(path, "x,u,v,w", (_FLOAT_FMT,) * 4, (self._centers, *fields))
 
     def __call__(self, first_step: int, times: np.ndarray, fields: np.ndarray):
         last = first_step + len(times) - 1
@@ -619,18 +623,25 @@ def run_scenario(cfg: ScenarioConfig, outdir) -> RunSummary:
     writer = SnapshotWriter(outdir, cfg.mesh(), cfg.snapshots, cfg.dt)
     result = run_config(cfg, extra_observers=(writer,))
 
-    if result.speed_series is not None:
-        with open(outdir / "wavespeed.csv", "w") as fh:
-            fh.write("step,time,theta\n")
-            for i, (t, theta) in enumerate(
-                zip(result.speed_series.times, result.speed_series.thetas), start=1
-            ):
-                fh.write(f"{i},{_FLOAT_FMT % t},{_FLOAT_FMT % theta}\n")
+    series = result.speed_series
+    if series is not None:
+        _write_csv(
+            outdir / "wavespeed.csv", "step,time,theta", ("%d", _FLOAT_FMT, _FLOAT_FMT),
+            (range(1, len(series) + 1), series.times, series.thetas),
+        )
 
     summary = summarize(result)
     (outdir / "summary.txt").write_text(summary.render())
     (outdir / "config.txt").write_text(render_config(cfg))
     return summary
+
+
+def _reject_repeats(items, what: str):
+    """Raise ConfigurationError for the first item selected more than once:
+    it would run twice and be written twice."""
+    for i, item in enumerate(items):
+        if item in items[:i]:
+            raise ConfigurationError(f"{what} {item!r} selected more than once")
 
 
 def effective_twin(cfg: ScenarioConfig) -> ScenarioConfig:
@@ -654,11 +665,12 @@ def run_homogenization_suite(
     Every periodic run and its effective twin march as one batch.  Returns
     one dict per row with the two verdicts; also writes
     ``homogenization.csv`` when ``outdir`` is given.  Raises
-    ConfigurationError, before any run, for an empty row selection or a
-    tolerance that is not finite and >= 0.
+    ConfigurationError, before any run, for an empty row selection, a row
+    selected twice or a tolerance that is not finite and >= 0.
     """
     if not rows:
         raise ConfigurationError("no homogenization row selected")
+    _reject_repeats(rows, "homogenization row")
     for name, tol in (("tol_gap", tol_gap), ("tol_osc", tol_osc)):
         if not 0.0 <= tol < math.inf:
             raise ConfigurationError(f"{name} must be finite and >= 0, got {tol!r}")
@@ -770,7 +782,9 @@ def observed_order(rows) -> float:
 
 def speed_table(names) -> list[dict]:
     """Tail speed statistics for a batch of presets; presets sharing the
-    mesh, dt, T and D march together."""
+    mesh, dt, T and D march together.  Raises ConfigurationError, before any
+    run, for a preset named twice."""
+    _reject_repeats(names, "preset")
     cfgs = [dataclasses.replace(preset(name), wavespeed=True) for name in names]
     rows = []
     for name, cfg, result in zip(names, cfgs, run_configs(cfgs)):

@@ -23,10 +23,10 @@ diagonal: one LAPACK call solves every run, and each block gets exactly the
 numbers a run on its own would.  A single run is the batch of one.
 
 Both implicit matrices are I - gamma*L(kappa), and one builder assembles
-them (``_BackwardEuler``): from mesh constants computed once it forms the
-interface coefficients (width-weighted arithmetic averages in place, or
-harmonic means), zeroes them at the junctions between runs and writes the
-bands into reused buffers.  ``diffusion_operator`` on
+them (``_BackwardEuler``): from constants computed once from the cell
+widths it forms the interface coefficients (width-weighted arithmetic
+averages in place, or harmonic means), zeroes them at the junctions between
+runs and writes the bands into reused buffers.  ``diffusion_operator`` on
 ``interface_diffusivity_arithmetic`` or ``interface_diffusivity_harmonic``
 is its readable reference; the tests hold the builder's bands equal to it
 bit for bit.  The acid matrix depends only on A, dt and the mesh, which a
@@ -40,13 +40,15 @@ fields into the next row of one preallocated (K+1, 3, B*N) history array
 the state the block starts from.  No step runs a reduction or builds a
 state.  After each block one vectorised pass over its rows does what a
 per-step check would: it finds the first step whose tumour interface
-coefficient went negative or whose fields are not finite, and aborts with
-that step and time.  Then the observers get the block, once, as
+coefficient went negative or whose fields are not finite, and returns that
+step and the reason.  Then the observers get the block, once, as
 ``observer(first_step, times, fields)`` (see ``run``), so the wave-speed
 increments, the running minima, the front-proximity test and the snapshots
-are one vectorised pass per block too.  ``step_imex`` is the march with a
-block of one step.  Every operation runs in the order of a step at a time,
-so the numbers do not depend on the block size.
+are one vectorised pass per block too.  ``run`` raises the breakdown as one
+InstabilityError with its step and time; ``step_imex``, the march with a
+block of one step, raises it with the time of the state it stepped.  Every
+operation runs in the order of a step at a time, so the numbers do not
+depend on the block size.
 
 The three LAPACK routines (dgtsv, dgttrf, dgttrs) are scipy's, bound from
 its f2py extension module ``scipy.linalg._flapack``, which this module
@@ -256,7 +258,7 @@ _SINGULAR = "singular tridiagonal system (LAPACK gtsv info={})"
 
 class _BackwardEuler:
     """The matrix I - gamma*L(kappa) of ``diffusion_operator`` for runs of
-    ``block`` cells laid end to end on ``mesh``.
+    ``block`` cells laid end to end, with cell ``widths``.
 
     The coefficient at each junction between two runs is zeroed, which
     decouples them.  A negative coefficient (the tumour's, once u exceeds
@@ -266,8 +268,7 @@ class _BackwardEuler:
     overwrite them).
     """
 
-    def __init__(self, mesh: Mesh, block: int, gamma: float):
-        widths = mesh.widths
+    def __init__(self, widths: np.ndarray, block: int, gamma: float):
         n = widths.size
         self._widths = widths
         self._wsum = widths[:-1] + widths[1:]
@@ -328,7 +329,7 @@ def assemble_implicit_v(
     coefficient (1 - u) evaluated from the freshly updated healthy field.
     Raises InstabilityError when an interface coefficient is negative.
     """
-    system = _BackwardEuler(m, m.n_cells, p.D * opts.dt)
+    system = _BackwardEuler(m.widths, m.n_cells, p.D * opts.dt)
     kappa = system.kappa(1.0 - np.asarray(u_next, dtype=float))
     if (kappa < 0.0).any():
         raise InstabilityError(_NEGATIVE_KAPPA)
@@ -342,7 +343,7 @@ def assemble_implicit_w(
     m: Mesh,
 ) -> TridiagonalSystem:
     """Backward-Euler system (I - dt*L_A) w = w_expl for the acid stage."""
-    system = _BackwardEuler(m, m.n_cells, opts.dt)
+    system = _BackwardEuler(m.widths, m.n_cells, opts.dt)
     kappa = system.kappa(np.array(A_cells, dtype=float), opts.interface_average_w)
     return TridiagonalSystem(*system.bands(kappa), rhs=w_expl)
 
@@ -360,31 +361,16 @@ def solve_tridiagonal(sys: TridiagonalSystem) -> np.ndarray:
     return x
 
 
-def _end_to_end(mesh: Mesh, runs: int) -> Mesh:
-    """``runs`` copies of ``mesh`` laid end to end.  The widths repeat the
-    block's widths exactly (rather than being differences of the shifted
-    interfaces), so every block gets the coefficients of a single run."""
-    if runs == 1:
-        return mesh
-    shift = mesh.length * np.arange(runs)[:, None]
-    return Mesh(
-        interfaces=np.append(mesh.interfaces[:-1] + shift, mesh.xmin + runs * mesh.length),
-        centers=(mesh.centers + shift).ravel(),
-        widths=np.tile(mesh.widths, runs),
-        uniform=mesh.uniform,
-    )
-
-
 def _per_cell(values, block: int):
     """A per-run parameter as the kinetics take it: the scalar for one run,
     a per-cell vector (each run's value over its block) for a batch."""
     return values[0] if len(values) == 1 else np.repeat(values, block)
 
 
-def _factor_acid(A_cells, opts: SchemeOptions, mesh: Mesh, block: int):
+def _factor_acid(A_cells, opts: SchemeOptions, widths: np.ndarray, block: int):
     """LU factors (LAPACK gttrf) of the acid matrix I - dt*L_A, as the
     (dl, d, du, du2, ipiv) arguments gttrs takes before the right-hand side."""
-    system = _BackwardEuler(mesh, block, opts.dt)
+    system = _BackwardEuler(widths, block, opts.dt)
     bands = system.bands(system.kappa(np.array(A_cells, dtype=float), opts.interface_average_w))
     *factors, info = dgttrf(*bands, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
     if info:
@@ -410,11 +396,11 @@ class _Stepper:
         if any(q.D != params[0].D for q in params):
             raise ValueError("the runs of a batch must share the tumour diffusivity D")
         block = s.mesh.n_cells
-        mesh = _end_to_end(s.mesh, runs)
+        widths = np.tile(s.mesh.widths, runs) if runs > 1 else s.mesh.widths
         self._dt = opts.dt
         self._kinetics = tuple(_per_cell([getattr(q, k) for q in params], block) for k in "drc")
-        self._acid_lu = _factor_acid(A_cells, opts, mesh, block)
-        self._tumour = _BackwardEuler(mesh, block, params[0].D * opts.dt)
+        self._acid_lu = _factor_acid(A_cells, opts, widths, block)
+        self._tumour = _BackwardEuler(widths, block, params[0].D * opts.dt)
         # Work buffers of the tumour bands: 1 - u, then its interface average.
         self._cells = np.empty(s.u.size)
         self._kappa = np.empty(s.u.size - 1)
@@ -432,15 +418,15 @@ class _Stepper:
         block finds the first step that broke down, as the checks of a
         single step would have, in their order: a negative tumour interface
         coefficient, a failed LAPACK solve (which stops the block), a
-        non-finite field.  Returns (steps, error): the number of good steps
-        and the InstabilityError of the step after them, or None.  Floating
-        point warnings are silenced; the error reports the breakdown.
+        non-finite field.  Returns (steps, reason): the number of good steps
+        and why the step after them broke down, or None.  Floating point
+        warnings are silenced; the caller reports the breakdown.
         """
         with np.errstate(all="ignore"):
-            done, failure = self._step(m, times)
+            done, failure = self._step(m)
             return self._check(done, failure, times)
 
-    def _step(self, m, times):
+    def _step(self, m):
         d, r, c = self._kinetics
         dt, acid_lu, rows = self._dt, self._acid_lu, self._rows
         interface, bands = self._tumour.kappa, self._tumour.bands
@@ -457,11 +443,10 @@ class _Stepper:
             np.subtract(1.0, u_new, out=cells)
             info = dgtsv(*bands(interface(cells, ARITHMETIC, kappa)), v_new, 1, 1, 1, 1)[-1]
             if info:
-                return j, InstabilityError(_SINGULAR.format(info))
+                return j, _SINGULAR.format(info)
             info = dgttrs(*acid_lu, w_new, overwrite_b=1)[-1]
             if info:
-                t = float(times[j])
-                return j, InstabilityError(f"acid solve failed (LAPACK gttrs info={info})", time=t)
+                return j, f"acid solve failed (LAPACK gttrs info={info})"
         return m, None
 
     def _check(self, done: int, failure, times):
@@ -483,12 +468,11 @@ class _Stepper:
         if not broken.any():
             return done, None
         k = int(broken.argmax())
-        t = float(times[k])
         if negative[k]:
-            return k, InstabilityError(_NEGATIVE_KAPPA)
+            return k, _NEGATIVE_KAPPA
         if k == done:
             return k, failure
-        return k, InstabilityError(f"non-finite field values after step from t={t!r}", time=t)
+        return k, f"non-finite field values after step from t={float(times[k])!r}"
 
 
 def _per_run(value, kind) -> tuple:
@@ -509,9 +493,9 @@ def step_imex(
     holds one ModelParameters per run.
     """
     stepper = _Stepper(s, A_cells, _per_run(p, ModelParameters), opts, rows=2)
-    _, error = stepper.march(1, (s.time,))
-    if error is not None:
-        raise error
+    _, reason = stepper.march(1, (s.time,))
+    if reason is not None:
+        raise InstabilityError(reason, time=s.time)
     return SimulationState._trusted(
         s.mesh, s.time + opts.dt, *(f.reshape(s.u.shape) for f in stepper.history[1])
     )
@@ -604,15 +588,15 @@ def run(
     while first < n_steps:
         m = min(size, n_steps - first)
         np.add.accumulate(increments[: m + 1], out=times[: m + 1])
-        good, error = stepper.march(m, times)
+        good, reason = stepper.march(m, times)
         if good:
             for observer in observers:
                 observer(first, shown[: good + 1], fields[: good + 1])
-        if error is not None:
+        if reason is not None:
             step, t = first + good, float(times[good])
             raise InstabilityError(
-                f"run became unstable at step {step} (t={t!r}): {error}", step=step, time=t
-            ) from error
+                f"run became unstable at step {step} (t={t!r}): {reason}", step=step, time=t
+            )
         history[0] = history[m]
         increments[0] = times[m]
         first += m

@@ -5,8 +5,19 @@ import sys
 
 import pytest
 
+from acidfront import scenarios
 from acidfront.cli import main
 from acidfront.scenarios import parse_config, preset, render_config
+
+
+@pytest.fixture
+def no_run(monkeypatch):
+    """Fails the test as soon as a simulation starts."""
+
+    def started(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(scenarios, "_run_batch", started)
 
 
 def write_small_config(path, **overrides):
@@ -189,6 +200,12 @@ class TestHomogenize:
         assert main(["homogenize", "--rows", rows]) == 1
         assert capsys.readouterr().err.startswith("error: empty item")
 
+    @pytest.mark.parametrize("rows", ["3,3", "3,5,3"])
+    def test_repeated_row_rejected(self, capsys, no_run, rows):
+        # used to run row 3 twice and write it twice
+        assert main(["homogenize", "--rows", rows]) == 1
+        assert capsys.readouterr().err.startswith("error: homogenization row (30.0, 100.0, 0.01, 1.0)")
+
     def test_single_row(self, tmp_path, capsys):
         rc = main(["homogenize", "--rows", "5", "--out", str(tmp_path)])
         assert rc == 0
@@ -224,6 +241,26 @@ class TestSpeedTable:
         assert main(["speed-table", *names, "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "speeds.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in lines[1:]] == names
+
+    def test_repeated_preset_rejected(self, capsys, no_run):
+        # used to run the preset twice and list it twice
+        assert main(["speed-table", "table1-d0.5", "table1-d12.5", "table1-d0.5"]) == 1
+        assert capsys.readouterr().err.startswith("error: preset 'table1-d0.5' selected more than once")
+
+
+class TestOutDirectory:
+    @pytest.mark.parametrize(
+        "command", [["simulate", "table1-d12.5"], ["homogenize", "--rows", "3"], ["speed-table", "table1-d0.5"]]
+    )
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    def test_out_that_cannot_be_a_directory(self, tmp_path, capsys, no_run, command, out):
+        # each used to end in a traceback, homogenize and speed-table only
+        # after every run was done
+        (tmp_path / "taken").write_text("")
+        assert main([*command, "--out", str(tmp_path / out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot make --out")
+        assert "Traceback" not in err
 
 
 class TestEntryPoint:

@@ -306,6 +306,31 @@ class TestConfigFormat:
         assert parse_config(FILE_TEXT[name]) == preset(name)
 
 
+SNAPSHOT_T0_BYTES = (
+    b"x,u,v,w\n"
+    b"0.025000000000000001,0,1,0\n"
+    b"0.075000000000000011,0,1,0\n"
+    b"0.125,0,1,0\n"
+    b"0.17500000000000002,0.20000000000000007,0.79999999999999993,0\n"
+    b"0.22500000000000001,0.40000000000000002,0.59999999999999998,0\n"
+    b"0.27500000000000002,0.60000000000000009,0.39999999999999991,0\n"
+    b"0.32500000000000007,0.80000000000000027,0.19999999999999973,0\n"
+    b"0.375,1,0,0\n"
+    b"0.42500000000000004,1,0,0\n"
+    b"0.47499999999999998,1,0,0\n"
+    b"0.52500000000000002,1,0,0\n"
+    b"0.57500000000000007,1,0,0\n"
+    b"0.625,1,0,0\n"
+    b"0.67500000000000004,1,0,0\n"
+    b"0.72500000000000009,1,0,0\n"
+    b"0.77500000000000002,1,0,0\n"
+    b"0.82500000000000007,1,0,0\n"
+    b"0.875,1,0,0\n"
+    b"0.92500000000000004,1,0,0\n"
+    b"0.97500000000000009,1,0,0\n"
+)
+
+
 class TestRunScenario:
     def test_writes_expected_files(self, tmp_path):
         summary = run_scenario(small_config(), tmp_path / "out")
@@ -329,6 +354,17 @@ class TestRunScenario:
         lines = (tmp_path / "wavespeed.csv").read_text().splitlines()
         assert lines[0] == "step,time,theta"
         assert len(lines) == 51
+
+    def test_csv_bytes(self, tmp_path):
+        # the CSV format, pinned: a header, "%.17g" floats, whole step numbers
+        run_scenario(small_config(dx=0.05, T=0.03, snapshots=(0.0,)), tmp_path)
+        assert (tmp_path / "snapshot_t0.csv").read_bytes() == SNAPSHOT_T0_BYTES
+        assert (tmp_path / "wavespeed.csv").read_bytes() == (
+            b"step,time,theta\n"
+            b"1,0.01,0.040000000000002152\n"
+            b"2,0.02,0.040000752543315164\n"
+            b"3,0.029999999999999999,0.040000535758965776\n"
+        )
 
     def test_no_snapshots_requested(self, tmp_path):
         run_scenario(small_config(snapshots=()), tmp_path)

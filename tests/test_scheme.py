@@ -13,6 +13,7 @@ from acidfront.analysis import PositivityRecorder, WaveSpeedRecorder
 from acidfront.errors import FrontProximityWarning, InstabilityError, StabilityWarning
 from acidfront.mesh import (
     Constant,
+    Mesh,
     PeriodicPiecewiseConstant,
     SingleJump,
     Sinusoidal,
@@ -392,11 +393,20 @@ class TestBackwardEulerBuilder:
     @pytest.mark.parametrize("kind", ["uniform", "nonuniform"])
     @pytest.mark.parametrize("average", [ARITHMETIC, HARMONIC])
     def test_bands_equal_reference(self, average, kind, runs):
-        block = self.MESHES[kind].n_cells
-        mesh = scheme._end_to_end(self.MESHES[kind], runs)
+        single = self.MESHES[kind]
+        block = single.n_cells
+        # the runs laid end to end; the oracles read only the widths and the
+        # cell count
+        widths = np.tile(single.widths, runs)
+        mesh = Mesh(
+            interfaces=np.concatenate(([0.0], np.cumsum(widths))),
+            centers=np.tile(single.centers, runs),
+            widths=widths,
+            uniform=single.uniform,
+        )
         n, gamma = mesh.n_cells, 0.0137
         rng = np.random.default_rng(29)
-        builder = scheme._BackwardEuler(mesh, block, gamma)
+        builder = scheme._BackwardEuler(widths, block, gamma)
         # A first call fills the reused buffers, which the checked call
         # must overwrite completely.
         builder.bands(builder.kappa(rng.uniform(0.05, 2.0, n), average, np.empty(n - 1)))
@@ -472,6 +482,18 @@ class TestStepImex:
                 run(s, Constant(1.0), p, opts, T=20.0)
         assert excinfo.value.step is not None
         assert excinfo.value.time is not None
+
+    def test_breakdown_carries_the_time_of_the_stepped_state(self):
+        # the healthy logistic u + dt*u*(1 - u) overshoots 1 in one step, so
+        # the tumour interface coefficient 1 - u goes negative
+        m = build_uniform_mesh(0.0, 1.0, 0.05)
+        n = m.n_cells
+        s = SimulationState(m, 0.75, np.full(n, 0.5), np.zeros(n), np.zeros(n))
+        p = raw_params(d=1.0, r=1.0, D=1e-3, c=1.0)
+        with pytest.raises(InstabilityError, match="negative tumour interface coefficient") as excinfo:
+            step_imex(s, np.ones(n), p, SchemeOptions(dt=2.5))
+        assert excinfo.value.time == s.time
+        assert excinfo.value.step is None
 
 
 class TestRun:
