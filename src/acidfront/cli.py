@@ -10,8 +10,10 @@ instability.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import sys
+import warnings
 from pathlib import Path
 
 from .analysis import DEFAULT_HOMOGENIZATION_GAP_TOL, DEFAULT_HOMOGENIZATION_OSC_TOL
@@ -56,21 +58,34 @@ def _apply_overrides(cfg, args):
     return dataclasses.replace(cfg, **replacements) if replacements else cfg
 
 
-def _prepare_out(out):
+@contextlib.contextmanager
+def _out_directory(out):
     """Create the ``--out`` directory, if one is given, before any run; a
     path that cannot be a directory (an existing file, say) is a
-    configuration error."""
-    if out is not None:
-        try:
-            Path(out).mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigurationError(f"cannot make --out {out!r} a directory: {exc}") from exc
+    configuration error.  If the library then rejects the call, the
+    directories made here are removed again (while they are empty)."""
+    if out is None:
+        yield
+        return
+    path = Path(out)
+    made = [p for p in (path, *path.absolute().parents) if not p.exists()]
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot make --out {out!r} a directory: {exc}") from exc
+    try:
+        yield
+    except ConfigurationError:
+        for directory in made:
+            with contextlib.suppress(OSError):
+                directory.rmdir()
+        raise
 
 
 def _cmd_simulate(args) -> int:
     cfg = _apply_overrides(_load_scenario(args.scenario), args)
-    _prepare_out(args.out)
-    summary = run_scenario(cfg, args.out)
+    with _out_directory(args.out):
+        summary = run_scenario(cfg, args.out)
     sys.stdout.write(summary.render())
     print(f"outputs written to {args.out}")
     return 0
@@ -106,10 +121,10 @@ def _parse_rows(selector: str):
 
 def _cmd_homogenize(args) -> int:
     rows = _parse_rows(args.rows)
-    _prepare_out(args.out)
-    results = run_homogenization_suite(
-        rows, outdir=args.out, tol_gap=args.tol_gap, tol_osc=args.tol_osc
-    )
+    with _out_directory(args.out):
+        results = run_homogenization_suite(
+            rows, outdir=args.out, tol_gap=args.tol_gap, tol_osc=args.tol_osc
+        )
     print(f"{'d':>6} {'omega':>6} {'alpha0':>7} {'alpha1':>7} {'p.wise const.':>14} {'sinusoidal':>11}")
     for row in results:
         pc = "HOM" if row["pc"].homogenized else "NO"
@@ -137,8 +152,8 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_speed_table(args) -> int:
-    _prepare_out(args.out)
-    rows = speed_table(args.presets)
+    with _out_directory(args.out):
+        rows = speed_table(args.presets)
     print(f"{'preset':<32} {'tail speed':>12} {'peak-to-peak':>13} {'2*sqrt(rD)':>11}")
     for row in rows:
         print(
@@ -196,9 +211,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _format_warning(message, category, filename, lineno, line=None):
+    """A warning as its category and message: the file and line that issued
+    it belong to the package, not to the user's call."""
+    return f"{category.__name__}: {message}\n"
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         return args.func(args)
     except ConfigurationError as exc:
@@ -207,6 +229,8 @@ def main(argv=None) -> int:
     except InstabilityError as exc:
         print(f"numerical instability: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -34,6 +34,17 @@ run holds fixed, so it is factored once per run (LAPACK gttrf) and each
 step solves with the factors (gttrs).  The tumour matrix changes with u and
 is rebuilt and solved each step with LAPACK gtsv.
 
+The explicit stage is ``core.reaction_u/v/w`` times dt plus the old fields,
+fused into eight numpy calls over stacked rows: 1 - [u, v], then
+[d, r] * [w, v], then [r*v, c] * [1 - v, v - w] and so on (see
+``_Stepper._step``).  They do the operations of the three functions on the
+same operands in the same order, so every value rounds as theirs does; the
+functions stay as the readable reference.  With the nine calls of the
+tumour bands a step makes 17 numpy calls and 2 LAPACK calls (a batch makes
+one more, to zero its junctions).  The tests hold the stepper's fields equal,
+byte for byte, to a step built from reaction_u/v/w, ``diffusion_operator``
+and the LAPACK routines called one at a time.
+
 ``run`` is the hot loop, and it marches in blocks.  Each step writes its
 fields into the next row of one preallocated (K+1, 3, B*N) history array
 (about _BLOCK_BYTES of memory), reusing it from block to block; row 0 is
@@ -71,9 +82,10 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-from numpy.lib.stride_tricks import as_strided
 
-from .core import ModelParameters, reaction_u, reaction_v, reaction_w
+# reaction_u/v/w are the readable reference of the kinetics that
+# _Stepper._step fuses; perfbench/tracing.py rebinds them in this module.
+from .core import ModelParameters, reaction_u, reaction_v, reaction_w  # noqa: F401
 from .errors import InstabilityError, StabilityWarning
 from .mesh import DiffusionProfile, Mesh, project_cell_averages
 
@@ -273,20 +285,21 @@ class _BackwardEuler:
         self._widths = widths
         self._wsum = widths[:-1] + widths[1:]
         self._gaps = 0.5 * self._wsum
-        # The widths left and right of each interface, as a (2, N-1) view.
-        self._sides = as_strided(
-            widths, shape=(2, n - 1), strides=(widths.strides[0],) * 2, writeable=False
-        )
+        # The widths left and right of each interface: two overlapping rows
+        # over the widths, a view (a stacked copy would cost 2N floats of
+        # memory that the 20 000-cell runs show in their peak).
+        step = widths.itemsize
+        self._sides = np.ndarray((2, n - 1), buffer=widths, strides=(step, step))
         # A single run has no junction.
         self._junctions = slice(block - 1, None, block) if block < n else None
-        self._gamma = gamma
-        self._diag = np.empty(n)
-        # super = flat[:n-1] and sub = flat[n+1:], so that flat[:n] + flat[n:]
-        # is super_i + sub_{i-1}, the off-diagonal sum of row i; flat[n-1]
-        # and flat[n] stay zero for the two boundary rows.
-        self._flat = np.zeros(2 * n)
-        step = self._flat.itemsize
-        self._off = as_strided(self._flat, shape=(2, n - 1), strides=((n + 1) * step, step))
+        self._minus_gamma = -gamma
+        # One buffer [super | pad | sub | diag] of n - 1, 2, n - 1 and n
+        # entries: flat[:n] + flat[n:2n] is super_i + sub_{i-1}, the
+        # off-diagonal sum of row i (the pad stands in for the missing one of
+        # the two boundary rows), and one multiplication scales every band.
+        self._flat = np.zeros(3 * n)
+        self._off = self._flat[: 2 * n + 2].reshape(2, n + 1)[:, : n - 1]
+        self._diag = self._flat[2 * n :]
 
     def kappa(self, cells: np.ndarray, average: str = ARITHMETIC, out=None) -> np.ndarray:
         """Interface coefficients of the cell coefficients ``cells`` along
@@ -307,12 +320,13 @@ class _BackwardEuler:
         and the next call overwrites the bands."""
         kappa /= self._gaps
         off = np.divide(kappa, self._sides, out=self._off)
-        n = self._diag.size
-        # 1 - gamma*((0 - super_i) - sub_{i-1}) is exactly 1 + gamma*(super_i + sub_{i-1})
-        diag = np.add(self._flat[:n], self._flat[n:], out=self._diag)
-        diag *= self._gamma
-        diag += 1.0
-        off *= -self._gamma
+        flat, diag = self._flat, self._diag
+        n = diag.size
+        np.add(flat[:n], flat[n : 2 * n], out=diag)
+        # 1 - gamma*((0 - super_i) - sub_{i-1}) is exactly 1 + gamma*(super_i + sub_{i-1}),
+        # and that is 1 - (super_i + sub_{i-1})*(-gamma): x*(-gamma) = -(x*gamma).
+        flat *= self._minus_gamma
+        np.subtract(1.0, diag, out=diag)
         return off[1], diag, off[0]
 
 
@@ -361,12 +375,6 @@ def solve_tridiagonal(sys: TridiagonalSystem) -> np.ndarray:
     return x
 
 
-def _per_cell(values, block: int):
-    """A per-run parameter as the kinetics take it: the scalar for one run,
-    a per-cell vector (each run's value over its block) for a batch."""
-    return values[0] if len(values) == 1 else np.repeat(values, block)
-
-
 def _factor_acid(A_cells, opts: SchemeOptions, widths: np.ndarray, block: int):
     """LU factors (LAPACK gttrf) of the acid matrix I - dt*L_A, as the
     (dl, d, du, du2, ipiv) arguments gttrs takes before the right-hand side."""
@@ -398,17 +406,24 @@ class _Stepper:
         block = s.mesh.n_cells
         widths = np.tile(s.mesh.widths, runs) if runs > 1 else s.mesh.widths
         self._dt = opts.dt
-        self._kinetics = tuple(_per_cell([getattr(q, k) for q in params], block) for k in "drc")
+        # Rows d, r and c: one column for one run, each run's values over its
+        # block for a batch.
+        kinetics = np.array([[q.d, q.r, q.c] for q in params], dtype=float).T
+        if runs > 1:
+            kinetics = kinetics.repeat(block, axis=1)
+        self._rates = kinetics[:2]
         self._acid_lu = _factor_acid(A_cells, opts, widths, block)
         self._tumour = _BackwardEuler(widths, block, params[0].D * opts.dt)
-        # Work buffers of the tumour bands: 1 - u, then its interface average.
-        self._cells = np.empty(s.u.size)
-        self._kappa = np.empty(s.u.size - 1)
+        # Work rows d*w, r*v and c (see _step): [d*w, r*v] and [r*v, c] are
+        # each the operand or result of one call.
+        self._work = np.empty((3, s.u.size))
+        self._work[2] = kinetics[2]
         self.history = np.empty((rows, 3, s.u.size))
         for i, field in enumerate((s.u, s.v, s.w)):
             self.history[0, i] = field.ravel()
-        # Each row with its three fields, as views made once.
-        self._rows = [(row, *row) for row in self.history]
+        # Each row with the views a step reads and writes, made once:
+        # (u, v, w), u, v, w, (u, v), (v, w) and (w, v).
+        self._rows = [(row, *row, row[:2], row[1:], row[2:0:-1]) for row in self.history]
 
     def march(self, m: int, times):
         """Step row 0 of the history m times into rows 1..m; ``times`` holds
@@ -427,16 +442,26 @@ class _Stepper:
             return self._check(done, failure, times)
 
     def _step(self, m):
-        d, r, c = self._kinetics
-        dt, acid_lu, rows = self._dt, self._acid_lu, self._rows
+        dt, rates, acid_lu, rows = self._dt, self._rates, self._acid_lu, self._rows
         interface, bands = self._tumour.kappa, self._tumour.bands
-        cells, kappa = self._cells, self._kappa
+        # The explicit stage is built in the new row itself: 1 - u and 1 - v
+        # go into its u and v, v - w into its w.  The work rows hold d*w, r*v
+        # and c, then the tumour's 1 - u and its interface coefficients.
+        work = self._work
+        products, dw, rv_c = work[0:2], work[0], work[1:3]
+        cells, kappa = work[0], work[1, :-1]
         for j in range(m):
-            now, u, v, w = rows[j]
-            new, u_new, v_new, w_new = rows[j + 1]
-            np.multiply(reaction_u(u, w, d), dt, out=u_new)
-            np.multiply(reaction_v(v, r), dt, out=v_new)
-            np.multiply(reaction_w(v, w, c), dt, out=w_new)
+            now, u, v, w, uv, _, wv = rows[j]
+            new, u_new, v_new, w_new, uv_new, vw_new, _ = rows[j + 1]
+            # reaction_u/v/w times dt: the same operations on the same
+            # operands, over stacked rows, so each value rounds as theirs.
+            np.subtract(1.0, uv, out=uv_new)
+            np.multiply(rates, wv, out=products)
+            np.subtract(u_new, dw, out=u_new)
+            np.subtract(v, w, out=w_new)
+            np.multiply(u, u_new, out=u_new)
+            np.multiply(rv_c, vw_new, out=vw_new)
+            new *= dt
             new += now
             # Both solves overwrite their right-hand side, the contiguous
             # row of v or w, with the solution.

@@ -263,6 +263,23 @@ class TestOutDirectory:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize(
+        "command",
+        [["speed-table", "no-such"], ["homogenize", "--rows", "3,3"], ["homogenize", "--rows", "5", "--tol-gap", "nan"]],
+    )
+    def test_rejected_call_leaves_no_directory(self, tmp_path, capsys, no_run, command):
+        # each used to exit 1 but leave the directories it made
+        assert main([*command, "--out", str(tmp_path / "new" / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rejected_call_keeps_an_existing_directory(self, tmp_path, capsys, no_run):
+        (tmp_path / "out").mkdir()
+        assert main(["speed-table", "no-such", "--out", str(tmp_path / "out" / "new")]) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert list((tmp_path / "out").iterdir()) == []
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(
@@ -280,6 +297,21 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
+
+    def test_warning_names_no_package_file(self, tmp_path):
+        # the warning used to name scenarios.py:541 and print its source line
+        proc = subprocess.run(
+            [sys.executable, "-m", "acidfront.cli", "simulate", "table1-d12.5",
+             "--dt", "0.5", "--T", "10", "--out", str(tmp_path)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        first, *rest = proc.stderr.splitlines()
+        assert first.startswith("StabilityWarning: dt=0.5 exceeds the explicit reaction limit")
+        assert rest == [
+            "numerical instability: run became unstable at step 3 (t=1.5): "
+            "negative tumour interface coefficient: healthy density exceeded 1"
+        ]
 
     @pytest.mark.skipif(shutil.which("acidfront") is None, reason="script not on PATH")
     def test_console_script(self):

@@ -42,6 +42,7 @@ from conftest import raw_params
 from oracles import (
     backward_euler_bands,
     dense,
+    imex_step,
     interface_coefficients,
     is_diagonally_dominant,
     semidiscrete_rhs,
@@ -420,6 +421,40 @@ class TestBackwardEulerBuilder:
         sub, _, sup = got
         assert not sub[block - 1 :: block].any() and not sup[block - 1 :: block].any()
         assert np.all(sub[np.arange(n - 1) % block != block - 1] < 0.0)
+
+
+class TestStepBitForBit:
+    """Two steps of the stepper equal, byte for byte (signed zeros too), two
+    steps of oracles.imex_step: reaction_u/v/w, diffusion_operator and LAPACK
+    called one at a time."""
+
+    PARAMS = (
+        ModelParameters(d=12.5, r=1.0, D=4e-3, c=70.0),
+        ModelParameters(d=0.5, r=2.0, D=4e-3, c=10.0),
+        ModelParameters(d=30.0, r=0.7, D=4e-3, c=3.0),
+    )
+
+    @pytest.mark.parametrize("runs", [1, 3])
+    @pytest.mark.parametrize("kind", ["uniform", "nonuniform"])
+    @pytest.mark.parametrize("average", [ARITHMETIC, HARMONIC])
+    def test_two_steps_equal_reference(self, average, kind, runs):
+        mesh = TestBackwardEulerBuilder.MESHES[kind]
+        n, params = mesh.n_cells, self.PARAMS[:runs]
+        rng = np.random.default_rng(31)
+        fields = rng.uniform(0.0, 1.0, (3, runs, n))
+        # exact zeros and ones: u = 0 (a signed zero under acid), v = w = 0,
+        # and u = 1 (a zero tumour coefficient)
+        fields[0, :, 0] = 0.0
+        fields[1:, :, 1] = 0.0
+        fields[0, :, 2] = 1.0
+        A_cells = rng.uniform(0.01, 2.0, (runs, n))
+        opts = SchemeOptions(dt=0.01, interface_average_w=average)
+        state = SimulationState(mesh, 0.0, *(f[0] if runs == 1 else f for f in fields))
+        stepper = scheme._Stepper(state, A_cells, params, opts, rows=3)
+        assert stepper.march(2, (0.0, 0.01, 0.02)) == (2, None)
+        first = imex_step(fields.reshape(3, -1), A_cells, params, opts, mesh)
+        second = imex_step(first, A_cells, params, opts, mesh)
+        assert stepper.history[1:3].tobytes() == np.array([first, second]).tobytes()
 
 
 class TestStepImex:
