@@ -289,7 +289,7 @@ class _BackwardEuler:
         # over the widths, a view (a stacked copy would cost 2N floats of
         # memory that the 20 000-cell runs show in their peak).
         step = widths.itemsize
-        self._sides = np.ndarray((2, n - 1), buffer=widths, strides=(step, step))
+        self._sides = np.ndarray((2, n - 1), widths.dtype, buffer=widths, strides=(step, step))
         # A single run has no junction.
         self._junctions = slice(block - 1, None, block) if block < n else None
         self._minus_gamma = -gamma
