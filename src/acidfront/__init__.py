@@ -19,12 +19,8 @@ from .analysis import (
     tail_speed,
 )
 from .core import (
-    AsymptoticStates,
-    DimensionalParameters,
     ModelParameters,
-    asymptotic_states,
     fkpp_minimal_speed,
-    nondimensionalize,
     reaction_u,
     reaction_v,
     reaction_w,

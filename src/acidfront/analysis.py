@@ -28,7 +28,8 @@ from .scheme import SimulationState
 # residual behind the front is only meaningful where tissue ever existed.
 _SEEDED_FLOOR = 1e-6
 
-# v behind and ahead of the tumour front (core.asymptotic_states, any d).
+# v behind and ahead of the tumour front, for any d.  The healthy residue
+# behind it (1 - d for d < 1, else 0) is classify_invasion's rule.
 V_INVADED, V_INTACT = 1.0, 0.0
 
 GAP_THRESHOLD = 0.01
@@ -252,8 +253,10 @@ def classify_invasion(s: SimulationState, d: float) -> InvasionRegime:
     relaxing toward the equilibrium.  Heterogeneous means the residual
     matches 1-d (possible only for d < 1); homogeneous means no residual
     plus an open interstitial gap; anything else is the hybrid overlap
-    regime.
+    regime.  ``d`` must be finite and positive, as in ``ModelParameters``.
     """
+    if not 0.0 < d < math.inf:
+        raise ValueError(f"destructiveness d must be finite and positive, got {d!r}")
     v = s.v
     if not (float(v.max()) > 0.5 > float(v.min())):
         raise ValueError("no tumour front in the state (need max v > 0.5 > min v)")
@@ -308,11 +311,12 @@ def harmonic_mean_quadrature(p: DiffusionProfile, tol: float = 1e-10) -> float:
 
 def effective_diffusivity(p: DiffusionProfile) -> float:
     """Constant replacement candidate for a periodic profile: its harmonic
-    mean, in closed form where one exists."""
+    mean, in closed form for both periodic families."""
     if isinstance(p, PeriodicPiecewiseConstant):
         return harmonic_mean_piecewise(p.alpha0, p.alpha1, p.beta)
     if isinstance(p, Sinusoidal):
-        return harmonic_mean_quadrature(p, tol=1e-12)
+        # 1/mean(1/(m + a sin)) = sqrt(m^2 - a^2) = sqrt(alpha0 * alpha1).
+        return math.sqrt(p.alpha0 * p.alpha1)
     raise ValueError(f"{type(p).__name__} profile is not periodic")
 
 

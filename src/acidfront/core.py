@@ -1,4 +1,4 @@
-"""Model parameters, reaction kinetics, and far-field equilibrium states.
+"""Model parameters, reaction kinetics, and the Fisher-KPP speed bound.
 
 The simulator works on the nondimensional three-species system coupling
 healthy tissue u, tumour density v, and excess acid w:
@@ -8,48 +8,17 @@ healthy tissue u, tumour density v, and excess acid w:
     w_t = c (v - w)   + [A(x) w_x]_x
 
 This module owns the dimensionless parameter quadruple (d, r, D, c), the
-reduction from dimensional rates, the pointwise reaction terms, and the
-equilibrium triples the invasion front connects.
+pointwise reaction terms, and the minimal Fisher-KPP front speed; the
+far-field states an invasion front connects live in ``analysis``.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .errors import ParameterWarning
-
-
-@dataclass(frozen=True)
-class DimensionalParameters:
-    """Rates and capacities of the dimensional model.
-
-    rho1, rho2, rho3 are the healthy growth, tumour growth, and acid
-    production rates (1/time); delta1 and delta3 the acid-induced tissue
-    degradation and acid deactivation rates; kappa1, kappa2 the carrying
-    capacities; D2 the tumour diffusivity and D3max the maximum acid
-    diffusivity (length^2/time).
-    """
-
-    rho1: float
-    rho2: float
-    rho3: float
-    delta1: float
-    delta3: float
-    kappa1: float
-    kappa2: float
-    D2: float
-    D3max: float
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not value > 0.0:
-                raise ValueError(
-                    f"dimensional parameter {f.name} must be strictly positive, "
-                    f"got {value!r}"
-                )
 
 
 @dataclass(frozen=True)
@@ -83,32 +52,6 @@ class ModelParameters:
             )
 
 
-@dataclass(frozen=True)
-class AsymptoticStates:
-    """Far-field equilibria (u, v, w) of an invasion front.
-
-    ``left`` is the fully invaded state behind the front, ``right`` the
-    intact-tissue state ahead of it.
-    """
-
-    left: tuple[float, float, float]
-    right: tuple[float, float, float]
-
-
-def nondimensionalize(p: DimensionalParameters) -> ModelParameters:
-    """Collapse the dimensional rates into the quadruple (d, r, D, c).
-
-    d = delta1*rho3*kappa2 / (delta3*rho1), r = rho2/rho1, c = delta3/rho1,
-    D = D2/D3max.
-    """
-    return ModelParameters(
-        d=p.delta1 * p.rho3 * p.kappa2 / (p.delta3 * p.rho1),
-        r=p.rho2 / p.rho1,
-        D=p.D2 / p.D3max,
-        c=p.delta3 / p.rho1,
-    )
-
-
 def reaction_u(u, w, d):
     """Healthy-tissue kinetics: logistic growth minus acid-induced death."""
     return u * (1.0 - u - d * w)
@@ -122,21 +65,6 @@ def reaction_v(v, r):
 def reaction_w(v, w, c):
     """Acid kinetics: production by tumour and first-order deactivation."""
     return c * (v - w)
-
-
-def asymptotic_states(d: float) -> AsymptoticStates:
-    """Equilibrium triples connected by the invasion front for a given d.
-
-    Ahead of the front the tissue is intact, (1, 0, 0).  Behind it the
-    healthy residue is max(1-d, 0): zero for d >= 1 (homogeneous invasion,
-    tissue fully destroyed) and 1-d for 0 < d < 1 (heterogeneous invasion).
-    The two formulas coincide at d = 1; the d >= 1 branch is closed on the
-    left when classifying regimes.
-    """
-    if not d > 0.0:
-        raise ValueError(f"destructiveness d must be strictly positive, got {d!r}")
-    residual = 0.0 if d >= 1.0 else 1.0 - d
-    return AsymptoticStates(left=(residual, 1.0, 1.0), right=(1.0, 0.0, 0.0))
 
 
 def fkpp_minimal_speed(r: float, D: float) -> float:

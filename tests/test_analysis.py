@@ -20,7 +20,14 @@ from acidfront.analysis import (
 )
 from acidfront.core import ModelParameters
 from acidfront.mesh import Constant, PeriodicPiecewiseConstant, Sinusoidal, build_uniform_mesh
-from acidfront.scenarios import PIECEWISE_LINEAR, ScenarioConfig, effective_twin, run_configs
+from acidfront.scenarios import (
+    PIECEWISE_LINEAR,
+    ScenarioConfig,
+    effective_twin,
+    preset,
+    preset_names,
+    run_configs,
+)
 from acidfront.scheme import SimulationState
 
 
@@ -189,6 +196,12 @@ class TestClassifyInvasion:
         with pytest.raises(ValueError):
             classify_invasion(s, d=0.5)
 
+    @pytest.mark.parametrize("d", [-1.0, 0.0, math.nan, math.inf])
+    def test_invalid_d_rejected(self, d):
+        s = self.make_state(residual=0.0, gap=True)
+        with pytest.raises(ValueError, match="destructiveness d"):
+            classify_invasion(s, d=d)
+
     def test_heterogeneous_state_has_no_gap(self):
         s = self.make_state(residual=0.5, gap=False)
         assert classify_invasion(s, d=0.5) is InvasionRegime.HETEROGENEOUS
@@ -258,8 +271,27 @@ class TestHarmonicMeanQuadrature:
         assert effective_diffusivity(Sinusoidal(0.1, 1.0, 50.0)) == pytest.approx(
             math.sqrt(0.1), rel=1e-10
         )
+        assert effective_diffusivity(Sinusoidal(0.01, 1.0, 100.0)) == 0.1
         with pytest.raises(ValueError):
             effective_diffusivity(Constant(1.0))
+
+    # Every periodic profile of the catalog, including the 100:1 contrasts
+    # that c07's random draws do not reach.
+    @pytest.mark.parametrize(
+        "profile",
+        sorted(
+            {
+                preset(name).profile
+                for name in preset_names()
+                if isinstance(preset(name).profile, (PeriodicPiecewiseConstant, Sinusoidal))
+            },
+            key=repr,
+        ),
+        ids=repr,
+    )
+    def test_closed_form_matches_quadrature_on_catalog(self, profile):
+        oracle = harmonic_mean_quadrature(profile, tol=1e-12)
+        assert effective_diffusivity(profile) == pytest.approx(oracle, rel=1e-11)
 
 
 class TestWaveSpeedRecorder:

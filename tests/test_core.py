@@ -5,11 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from acidfront.core import (
-    DimensionalParameters,
     ModelParameters,
-    asymptotic_states,
     fkpp_minimal_speed,
-    nondimensionalize,
     reaction_u,
     reaction_v,
     reaction_w,
@@ -17,57 +14,6 @@ from acidfront.core import (
 from acidfront.errors import ParameterWarning
 
 positive = st.floats(min_value=1e-3, max_value=1e3)
-
-
-def dims(**overrides):
-    base = dict(
-        rho1=1.0, rho2=1.0, rho3=1.0, delta1=1.0, delta3=1.0,
-        kappa1=1.0, kappa2=1.0, D2=1.0, D3max=1.0,
-    )
-    base.update(overrides)
-    return DimensionalParameters(**base)
-
-
-class TestNondimensionalize:
-    def test_all_unit_rates(self):
-        with pytest.warns(ParameterWarning):
-            p = nondimensionalize(dims())
-        assert (p.d, p.r, p.c, p.D) == (1.0, 1.0, 1.0, 1.0)
-
-    def test_reference_regime(self):
-        p = nondimensionalize(
-            dims(rho3=70.0, delta3=70.0, kappa2=0.5, D2=4e-5, D3max=1.0)
-        )
-        assert p.d == pytest.approx(0.5, rel=1e-15)
-        assert p.r == 1.0
-        assert p.c == pytest.approx(70.0, rel=1e-15)
-        assert p.D == pytest.approx(4e-5, rel=1e-15)
-
-    def test_d_linear_in_delta1(self):
-        p = nondimensionalize(
-            dims(rho3=70.0, delta1=2.0, delta3=70.0, kappa2=0.5, D2=4e-5, D3max=1.0)
-        )
-        assert p.d == pytest.approx(1.0, rel=1e-15)
-        assert (p.r, p.c, p.D) == (1.0, pytest.approx(70.0), pytest.approx(4e-5))
-
-    def test_nonpositive_field_named_in_error(self):
-        with pytest.raises(ValueError, match="delta3"):
-            dims(delta3=0.0)
-        with pytest.raises(ValueError, match="rho2"):
-            dims(rho2=-1.0)
-
-    @given(lam=st.floats(min_value=1e-2, max_value=1e2))
-    def test_time_rescaling_invariance(self, lam):
-        base = dims(rho2=2.0, rho3=70.0, delta1=0.5, delta3=35.0, kappa2=0.5, D2=4e-5)
-        scaled = dims(
-            rho1=lam, rho2=2.0 * lam, rho3=70.0 * lam,
-            delta1=0.5 * lam, delta3=35.0 * lam, kappa2=0.5, D2=4e-5,
-        )
-        p, q = nondimensionalize(base), nondimensionalize(scaled)
-        assert q.d == pytest.approx(p.d, rel=1e-12)
-        assert q.r == pytest.approx(p.r, rel=1e-12)
-        assert q.c == pytest.approx(p.c, rel=1e-12)
-        assert q.D == p.D
 
 
 class TestModelParameters:
@@ -113,46 +59,11 @@ class TestReactions:
 
     @given(d=positive)
     def test_reactions_vanish_on_equilibria(self, d):
-        states = asymptotic_states(d)
-        for u, v, w in (states.left, states.right):
+        # Invaded (healthy residue max(1 - d, 0)) and intact far fields.
+        for u, v, w in ((max(1.0 - d, 0.0), 1.0, 1.0), (1.0, 0.0, 0.0)):
             assert reaction_u(u, w, d) == pytest.approx(0.0, abs=1e-12)
             assert reaction_v(v, 1.7) == pytest.approx(0.0, abs=1e-12)
             assert reaction_w(v, w, 70.0) == pytest.approx(0.0, abs=1e-12)
-
-
-class TestAsymptoticStates:
-    def test_strong_acidity(self):
-        states = asymptotic_states(12.5)
-        assert states.left == (0.0, 1.0, 1.0)
-        assert states.right == (1.0, 0.0, 0.0)
-
-    def test_weak_acidity_residual(self):
-        states = asymptotic_states(0.5)
-        assert states.left == (0.5, 1.0, 1.0)
-        assert states.right == (1.0, 0.0, 0.0)
-
-    def test_threshold_coincides(self):
-        assert asymptotic_states(1.0).left == (0.0, 1.0, 1.0)
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            asymptotic_states(0.0)
-        with pytest.raises(ValueError):
-            asymptotic_states(-2.0)
-
-    @given(d=positive)
-    def test_left_state_formula(self, d):
-        left = asymptotic_states(d).left
-        if d >= 1.0:
-            assert left == (0.0, 1.0, 1.0)
-        else:
-            assert left == (1.0 - d, 1.0, 1.0)
-
-    @given(eps=st.floats(min_value=1e-12, max_value=1e-6))
-    def test_continuous_at_threshold(self, eps):
-        below = asymptotic_states(1.0 - eps).left[0]
-        above = asymptotic_states(1.0 + eps).left[0]
-        assert abs(below - above) <= 2 * eps
 
 
 class TestFkppMinimalSpeed:
