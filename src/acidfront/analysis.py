@@ -193,17 +193,17 @@ class WaveSpeedRecorder:
 class PositivityRecorder:
     """Run observer tracking the minimum of each field over all steps.
 
-    Keeps cellwise running minima from the ``initial`` state on, folds in
-    each block of steps it is shown, and reduces them over the cells when
-    read, so ``min_u``, ``min_v`` and ``min_w`` are floats for a single run
-    and hold one value per run for a batch.
+    Holds one minimum per field and run from the ``initial`` state on, (3,)
+    for a single run and (3, B) for a batch, and folds in each block of steps
+    with one reduction over its steps and cells.  ``min_u``, ``min_v`` and
+    ``min_w`` are floats for a single run and fresh (B,) arrays for a batch.
     """
 
     def __init__(self, initial: SimulationState):
-        self._minima = np.stack((initial.u, initial.v, initial.w))
+        self._minima = np.array([f.min(axis=-1) for f in (initial.u, initial.v, initial.w)])
 
     def _least(self, field: int):
-        return self._minima[field].min(axis=-1)
+        return self._minima[field].copy()
 
     @property
     def min_u(self):
@@ -218,7 +218,7 @@ class PositivityRecorder:
         return self._least(2)
 
     def __call__(self, first_step: int, times: np.ndarray, fields: np.ndarray):
-        np.minimum(self._minima, fields[1:].min(axis=0), out=self._minima)
+        np.minimum(self._minima, fields[1:].min(axis=(0, -1)), out=self._minima)
 
 
 def detect_gap(s: SimulationState) -> GapReport:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -222,7 +223,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     formatwarning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
-        return args.func(args)
+        code = args.func(args)
+        # A block-buffered stdout meets a closed reader here, not at exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader stopped early (``| head``): the output ends, quietly.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -54,7 +54,7 @@ per-step check would: it finds the first step whose tumour interface
 coefficient went negative or whose fields are not finite, and returns that
 step and the reason.  Then the observers get the block, once, as
 ``observer(first_step, times, fields)`` (see ``run``), so the wave-speed
-increments, the running minima, the front-proximity test and the snapshots
+increments, the per-run minima, the front-proximity test and the snapshots
 are one vectorised pass per block too.  ``run`` raises the breakdown as one
 InstabilityError with its step and time; ``step_imex``, the march with a
 block of one step, raises it with the time of the state it stepped.  Every

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import shutil
 import subprocess
 import sys
@@ -318,3 +319,22 @@ class TestEntryPoint:
         proc = subprocess.run(["acidfront", "list-presets"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert "table1-d12.5" in proc.stdout
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_ends_quietly(self, unbuffered, monkeypatch):
+        # `acidfront list-presets | head` used to print a BrokenPipeError
+        # traceback (unbuffered) or "Exception ignored ..." and exit 120
+        if unbuffered:
+            monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+        else:
+            monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "acidfront.cli", "list-presets"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (0, "")

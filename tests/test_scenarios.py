@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -438,6 +439,21 @@ class TestRunScenario:
             result = run_config(cfg)
         assert any("stability" in w for w in result.warnings)
 
+    def test_minima_catch_a_dip_the_final_state_does_not_show(self):
+        # dt*d = 2: u dips to about -0.027 in the first steps and recovers,
+        # so only minima taken over every step can report it
+        seen = []
+
+        def every_step(first_step, times, fields):
+            seen.append(fields.min(axis=-1).min(axis=0))
+
+        with pytest.warns(StabilityWarning):
+            result = run_config(preset("appendix-w200-a0.01-0.06-d200"), [every_step])
+        assert (result.min_u, result.min_v, result.min_w) == tuple(np.min(seen, axis=0))
+        assert result.min_u < -0.02
+        final = result.final_state
+        assert min(final.u.min(), final.v.min(), final.w.min()) >= -1e-8
+
 
 class TestRunConfigs:
     @pytest.mark.filterwarnings("ignore::acidfront.errors.StabilityWarning")
@@ -502,6 +518,22 @@ class TestRunConfigs:
 
     def test_empty(self):
         assert run_configs([]) == []
+
+
+class TestWorkingSet:
+    def test_fine_mesh_run_holds_at_most_28_field_arrays(self):
+        # a 20 000-cell run's memory is its N-float arrays (26.6 at the
+        # traced peak); per-cell minima in the positivity recorder add 4
+        cfg = dataclasses.replace(preset("table3-row03-sin"), dx=5e-5, T=0.05, snapshots=())
+        n = cfg.mesh().n_cells
+        tracemalloc.start()
+        try:
+            run_config(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n == 20_000
+        assert peak <= 28 * 8 * n, f"traced peak is {peak / (8 * n):.1f} arrays of N floats"
 
 
 class TestConvergenceStudy:
