@@ -527,19 +527,21 @@ def _batch_key(cfg: ScenarioConfig):
     return (cfg.xmin, cfg.xmax, cfg.dx, cfg.dt, cfg.T, cfg.params.D, cfg.wavespeed)
 
 
-def _run_batch(cfgs, extra_observers=()) -> list[RunResult]:
-    """March scenarios sharing one ``_batch_key`` as one block-diagonal
-    batch; each result's wall time is that of the whole batch."""
+def _run_batch(cfgs, extra_observers=(), mesh=None) -> list[RunResult]:
+    """March scenarios sharing one ``_batch_key`` on ``mesh`` (the first's if
+    None) as one block-diagonal batch; each result's wall time is the batch's."""
     first = cfgs[0]
-    mesh = first.mesh()
-    state0 = SimulationState.stack([initial_state(cfg.initial, mesh) for cfg in cfgs])
-    positivity = PositivityRecorder(initial=state0)
+    mesh = first.mesh() if mesh is None else mesh
+    # run drops the initial state once it seeds its history: no name here keeps it
+    initial = [SimulationState.stack([initial_state(cfg.initial, mesh) for cfg in cfgs])]
+    positivity = PositivityRecorder(initial=initial[0])
+    steps = step_count(initial[0].time, first.T, first.dt)
     recorder = WaveSpeedRecorder(mesh, first.dt) if first.wavespeed else None
     observers = [*extra_observers, positivity] + ([recorder] if recorder else [])
 
     started = time.perf_counter()
     final = run(
-        state0,
+        initial.pop(),
         [cfg.profile for cfg in cfgs],
         [cfg.params for cfg in cfgs],
         SchemeOptions(dt=first.dt),
@@ -553,7 +555,6 @@ def _run_batch(cfgs, extra_observers=()) -> list[RunResult]:
         np.broadcast_to(m, runs) for m in (positivity.min_u, positivity.min_v, positivity.min_w)
     )
     near = np.broadcast_to(recorder.front_near_boundary if recorder else False, runs)
-    steps = step_count(state0.time, first.T, first.dt)
     return [
         RunResult(
             config=cfg,
@@ -620,8 +621,9 @@ def run_scenario(cfg: ScenarioConfig, outdir) -> RunSummary:
     key=value summary under ``outdir``."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    writer = SnapshotWriter(outdir, cfg.mesh(), cfg.snapshots, cfg.dt)
-    result = run_config(cfg, extra_observers=(writer,))
+    mesh = cfg.mesh()  # one mesh serves the writer and the run
+    writer = SnapshotWriter(outdir, mesh, cfg.snapshots, cfg.dt)
+    result = _run_batch([cfg], (writer,), mesh)[0]
 
     series = result.speed_series
     if series is not None:

@@ -48,18 +48,20 @@ and the LAPACK routines called one at a time.
 ``run`` is the hot loop, and it marches in blocks.  Each step writes its
 fields into the next row of one preallocated (K+1, 3, B*N) history array
 (about _BLOCK_BYTES of memory), reusing it from block to block; row 0 is
-the state the block starts from.  No step runs a reduction or builds a
-state.  After each block one vectorised pass over its rows does what a
-per-step check would: it finds the first step whose tumour interface
-coefficient went negative or whose fields are not finite, and returns that
-step and the reason.  Then the observers get the block, once, as
-``observer(first_step, times, fields)`` (see ``run``), so the wave-speed
-increments, the per-run minima, the front-proximity test and the snapshots
-are one vectorised pass per block too.  ``run`` raises the breakdown as one
-InstabilityError with its step and time; ``step_imex``, the march with a
-block of one step, raises it with the time of the state it stepped.  Every
-operation runs in the order of a step at a time, so the numbers do not
-depend on the block size.
+the state the block starts from.  ``run`` seeds it with the initial fields
+and drops the state before it builds anything else, so a march holds each
+field once (and one mesh, the state's).  No step runs a reduction or
+builds a state.  After each block one vectorised pass over its rows does
+what a per-step check would: it finds the first step whose tumour
+interface coefficient went negative or whose fields are not finite, and
+returns that step and the reason.  Then the observers get the block, once,
+as ``observer(first_step, times, fields)`` (see ``run``), so the
+wave-speed increments, the per-run minima, the front-proximity test and
+the snapshots are one vectorised pass per block too.  ``run`` raises the
+breakdown as one InstabilityError with its step and time; ``step_imex``,
+the march with a block of one step, raises it with the time of the state
+it stepped.  Every operation runs in the order of a step at a time, so the
+numbers do not depend on the block size.
 
 The three LAPACK routines (dgtsv, dgttrf, dgttrs) are scipy's, bound from
 its f2py extension module ``scipy.linalg._flapack``, which this module
@@ -283,16 +285,16 @@ class _BackwardEuler:
     def __init__(self, widths: np.ndarray, block: int, gamma: float):
         n = widths.size
         self._widths = widths
+        # wL + wR is twice diffusion_operator's gap: kappa/wsum is exactly half
+        # its kappa/gap (no band is subnormal), so ``bands`` scales by -2*gamma.
         self._wsum = widths[:-1] + widths[1:]
-        self._gaps = 0.5 * self._wsum
         # The widths left and right of each interface: two overlapping rows
-        # over the widths, a view (a stacked copy would cost 2N floats of
-        # memory that the 20 000-cell runs show in their peak).
+        # over the widths, a view (a stacked copy would cost 2N floats of peak).
         step = widths.itemsize
         self._sides = np.ndarray((2, n - 1), widths.dtype, buffer=widths, strides=(step, step))
         # A single run has no junction.
         self._junctions = slice(block - 1, None, block) if block < n else None
-        self._minus_gamma = -gamma
+        self._scale = -2.0 * gamma
         # One buffer [super | pad | sub | diag] of n - 1, 2, n - 1 and n
         # entries: flat[:n] + flat[n:2n] is super_i + sub_{i-1}, the
         # off-diagonal sum of row i (the pad stands in for the missing one of
@@ -318,14 +320,14 @@ class _BackwardEuler:
     def bands(self, kappa: np.ndarray):
         """(sub, diag, super) of I - gamma*L(kappa); overwrites ``kappa``,
         and the next call overwrites the bands."""
-        kappa /= self._gaps
+        kappa /= self._wsum
         off = np.divide(kappa, self._sides, out=self._off)
         flat, diag = self._flat, self._diag
         n = diag.size
         np.add(flat[:n], flat[n : 2 * n], out=diag)
         # 1 - gamma*((0 - super_i) - sub_{i-1}) is exactly 1 + gamma*(super_i + sub_{i-1}),
-        # and that is 1 - (super_i + sub_{i-1})*(-gamma): x*(-gamma) = -(x*gamma).
-        flat *= self._minus_gamma
+        # and that is 1 - ((super_i + sub_{i-1})/2)*(-2*gamma): (x/2)*(-2*gamma) = -(x*gamma).
+        flat *= self._scale
         np.subtract(1.0, diag, out=diag)
         return off[1], diag, off[0]
 
@@ -376,8 +378,7 @@ def solve_tridiagonal(sys: TridiagonalSystem) -> np.ndarray:
 
 
 def _factor_acid(A_cells, opts: SchemeOptions, widths: np.ndarray, block: int):
-    """LU factors (LAPACK gttrf) of the acid matrix I - dt*L_A, as the
-    (dl, d, du, du2, ipiv) arguments gttrs takes before the right-hand side."""
+    """LU factors (LAPACK gttrf) of the acid matrix I - dt*L_A: gttrs's arguments before b."""
     system = _BackwardEuler(widths, block, opts.dt)
     bands = system.bands(system.kappa(np.array(A_cells, dtype=float), opts.interface_average_w))
     *factors, info = dgttrf(*bands, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
@@ -386,25 +387,31 @@ def _factor_acid(A_cells, opts: SchemeOptions, widths: np.ndarray, block: int):
     return tuple(factors)
 
 
-class _Stepper:
-    """A march of the runs of ``s`` laid end to end, with one parameter set
-    and one row of A_cells each: what it holds fixed (the kinetics, the acid
-    LU factors and the tumour system) and the history block it steps in, of
-    ``rows`` rows of flat (u, v, w), whose row 0 starts as the fields of
-    ``s``."""
+def _history(s: SimulationState, rows: int) -> np.ndarray:
+    """A (rows, 3, B*N) history block whose row 0 holds the fields of ``s``."""
+    history = np.empty((rows, 3, s.u.size))
+    row = history[0].reshape((3,) + s.u.shape)
+    row[0], row[1], row[2] = s.u, s.v, s.w
+    return history
 
-    def __init__(self, s: SimulationState, A_cells, params, opts: SchemeOptions, rows: int):
-        runs = 1 if s.u.ndim == 1 else s.u.shape[0]
+
+class _Stepper:
+    """A march of runs on ``mesh`` laid end to end, with one parameter set
+    and one row of A_cells each: what it holds fixed (the kinetics, the acid
+    LU factors and the tumour system) and the ``history`` block it steps in,
+    whose row 0 (see ``_history``) is the only copy of the fields it starts from."""
+
+    def __init__(self, history: np.ndarray, mesh: Mesh, A_cells, params, opts: SchemeOptions):
+        block, runs = mesh.n_cells, history.shape[-1] // mesh.n_cells
         A_cells = np.ravel(np.asarray(A_cells, dtype=float))
-        if len(params) != runs or A_cells.size != s.u.size:
+        if len(params) != runs or A_cells.size != history.shape[-1]:
             raise ValueError(
                 f"a state of {runs} run(s) needs one parameter set and one diffusivity "
-                f"row per run, got {len(params)} and {A_cells.size / s.mesh.n_cells:g} rows"
+                f"row per run, got {len(params)} and {A_cells.size / block:g} rows"
             )
         if any(q.D != params[0].D for q in params):
             raise ValueError("the runs of a batch must share the tumour diffusivity D")
-        block = s.mesh.n_cells
-        widths = np.tile(s.mesh.widths, runs) if runs > 1 else s.mesh.widths
+        widths = np.tile(mesh.widths, runs) if runs > 1 else mesh.widths
         self._dt = opts.dt
         # Rows d, r and c: one column for one run, each run's values over its
         # block for a batch.
@@ -416,11 +423,9 @@ class _Stepper:
         self._tumour = _BackwardEuler(widths, block, params[0].D * opts.dt)
         # Work rows d*w, r*v and c (see _step): [d*w, r*v] and [r*v, c] are
         # each the operand or result of one call.
-        self._work = np.empty((3, s.u.size))
+        self._work = np.empty((3, history.shape[-1]))
         self._work[2] = kinetics[2]
-        self.history = np.empty((rows, 3, s.u.size))
-        for i, field in enumerate((s.u, s.v, s.w)):
-            self.history[0, i] = field.ravel()
+        self.history = history
         # Each row with the views a step reads and writes, made once:
         # (u, v, w), u, v, w, (u, v), (v, w) and (w, v).
         self._rows = [(row, *row, row[:2], row[1:], row[2:0:-1]) for row in self.history]
@@ -517,7 +522,7 @@ def step_imex(
     For a batch state, ``A_cells`` has the state's (B, N) shape and ``p``
     holds one ModelParameters per run.
     """
-    stepper = _Stepper(s, A_cells, _per_run(p, ModelParameters), opts, rows=2)
+    stepper = _Stepper(_history(s, 2), s.mesh, A_cells, _per_run(p, ModelParameters), opts)
     _, reason = stepper.march(1, (s.time,))
     if reason is not None:
         raise InstabilityError(reason, time=s.time)
@@ -572,7 +577,8 @@ def run(
     (u, v, w) after first_step + j steps, at ``times[j]``.  Row 0 is the
     state the block started from (the initial state in the first call, the
     last row of the previous call after that).  The view and ``times`` are
-    valid only during the call; an observer copies what it keeps.
+    valid only during the call; an observer copies what it keeps.  ``run``
+    drops ``s0`` once row 0 holds its fields (unless it takes no step).
 
     Instability aborts the run with the failing step index and time, after
     the observers have seen the rows before that step.  The returned state
@@ -592,20 +598,22 @@ def run(
                 StabilityWarning,
                 stacklevel=2,
             )
-    A_cells = [project_cell_averages(a, s0.mesh) for a in _per_run(A, DiffusionProfile)]
-    n_steps = step_count(s0.time, T, opts.dt)
+    mesh, t0, shape = s0.mesh, s0.time, s0.u.shape
+    A_cells = [project_cell_averages(a, mesh) for a in _per_run(A, DiffusionProfile)]
+    n_steps = step_count(t0, T, opts.dt)
     size = max(1, min(n_steps, _BLOCK_BYTES // (24 * s0.u.size)))
-    stepper = _Stepper(s0, np.concatenate(A_cells), params, opts, rows=size + 1)
+    history = _history(s0, size + 1)
+    if n_steps:
+        del s0  # row 0 holds its fields now; the march keeps no second copy
+    stepper = _Stepper(history, mesh, np.concatenate(A_cells), params, opts)
     del A_cells  # only the acid factors needed the diffusivities
     if n_steps == 0:
         return s0
-    shape = s0.u.shape
-    history = stepper.history
     fields = history.reshape((size + 1, 3) + shape)
     fields.flags.writeable = False
     # Times add dt one step at a time, as a state's time always has.
     increments = np.full(size + 1, opts.dt)
-    increments[0] = s0.time
+    increments[0] = t0
     times = np.empty(size + 1)
     shown = times.view()
     shown.flags.writeable = False
@@ -627,5 +635,5 @@ def run(
         first += m
     del stepper  # releases its buffers before the final fields are copied
     return SimulationState._trusted(
-        s0.mesh, float(increments[0]), *(f.reshape(shape) for f in history[0].copy())
+        mesh, float(increments[0]), *(f.reshape(shape) for f in history[0].copy())
     )

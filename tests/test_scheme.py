@@ -388,10 +388,16 @@ class TestBackwardEulerBuilder:
     MESHES = {
         "uniform": build_uniform_mesh(0.0, 1.0, 1.0 / 16),
         "nonuniform": mesh_from_interfaces([0.0, 0.05, 0.2, 0.3, 0.55, 0.6, 0.62, 0.8, 1.0]),
+        # widths from 1e-6 to 1, in random order
+        "decades": mesh_from_interfaces(
+            np.cumsum([0.0, *10.0 ** np.random.default_rng(37).uniform(-6.0, 0.0, 24)])
+        ),
     }
+    # the tumour's D*dt and the acid's dt, over decades
+    GAMMAS = (0.0137, 3e-9, 2.5e-6, 4e-4, 0.61, 85.0, 1.2e4)
 
     @pytest.mark.parametrize("runs", [1, 3])
-    @pytest.mark.parametrize("kind", ["uniform", "nonuniform"])
+    @pytest.mark.parametrize("kind", ["uniform", "nonuniform", "decades"])
     @pytest.mark.parametrize("average", [ARITHMETIC, HARMONIC])
     def test_bands_equal_reference(self, average, kind, runs):
         single = self.MESHES[kind]
@@ -405,22 +411,26 @@ class TestBackwardEulerBuilder:
             widths=widths,
             uniform=single.uniform,
         )
-        n, gamma = mesh.n_cells, 0.0137
+        n = mesh.n_cells
         rng = np.random.default_rng(29)
-        builder = scheme._BackwardEuler(widths, block, gamma)
-        # A first call fills the reused buffers, which the checked call
-        # must overwrite completely.
-        builder.bands(builder.kappa(rng.uniform(0.05, 2.0, n), average, np.empty(n - 1)))
-        cells = rng.uniform(0.05, 2.0, n)
-        kappa = interface_coefficients(cells, mesh, average)
-        kappa[block - 1 :: block] = 0.0
-        expected = backward_euler_bands(kappa, gamma, mesh)
-        got = builder.bands(builder.kappa(cells.copy(), average, np.empty(n - 1)))
-        for band, reference in zip(got, expected):
-            assert np.array_equal(band, reference)
-        sub, _, sup = got
-        assert not sub[block - 1 :: block].any() and not sup[block - 1 :: block].any()
-        assert np.all(sub[np.arange(n - 1) % block != block - 1] < 0.0)
+        for gamma in self.GAMMAS:
+            builder = scheme._BackwardEuler(widths, block, gamma)
+            # A first call fills the reused buffers, which the checked call
+            # must overwrite completely.
+            builder.bands(builder.kappa(rng.uniform(0.05, 2.0, n), average, np.empty(n - 1)))
+            # coefficients over decades too, down to the tumour's smallest
+            # nonzero 1 - u = 2**-53
+            cells = 10.0 ** rng.uniform(np.log10(2.0**-53), 1.0, n)
+            kappa = interface_coefficients(cells, mesh, average)
+            kappa[block - 1 :: block] = 0.0
+            expected = backward_euler_bands(kappa, gamma, mesh)
+            got = builder.bands(builder.kappa(cells.copy(), average, np.empty(n - 1)))
+            # bytes, so that signed zeros count
+            for band, reference in zip(got, expected):
+                assert band.tobytes() == reference.tobytes(), gamma
+            sub, _, sup = got
+            assert not sub[block - 1 :: block].any() and not sup[block - 1 :: block].any()
+            assert np.all(sub[np.arange(n - 1) % block != block - 1] < 0.0)
 
 
 class TestStepBitForBit:
@@ -450,7 +460,7 @@ class TestStepBitForBit:
         A_cells = rng.uniform(0.01, 2.0, (runs, n))
         opts = SchemeOptions(dt=0.01, interface_average_w=average)
         state = SimulationState(mesh, 0.0, *(f[0] if runs == 1 else f for f in fields))
-        stepper = scheme._Stepper(state, A_cells, params, opts, rows=3)
+        stepper = scheme._Stepper(scheme._history(state, 3), mesh, A_cells, params, opts)
         assert stepper.march(2, (0.0, 0.01, 0.02)) == (2, None)
         first = imex_step(fields.reshape(3, -1), A_cells, params, opts, mesh)
         second = imex_step(first, A_cells, params, opts, mesh)
@@ -536,8 +546,25 @@ class TestRun:
         m = build_uniform_mesh(0.0, 1.0, 0.005)
         n = m.n_cells
         s = SimulationState(m, 2.0, np.ones(n), np.zeros(n), np.zeros(n))
-        out = run(s, Constant(1.0), reference_params(), SchemeOptions(dt=0.01), T=2.0)
+        opts = SchemeOptions(dt=0.01)
+        out = run(s, Constant(1.0), reference_params(), opts, T=2.0)
         assert out is s
+        # no step is taken, but the arguments are checked as for a run that
+        # marches
+        batch = SimulationState.stack([s, s])
+        p = reference_params()
+        other_D = ModelParameters(d=p.d, r=p.r, D=2.0 * p.D, c=p.c)
+        profile = Constant(1.0)
+        for A, params in [
+            ([profile] * 2, [p, other_D]),  # the runs of a batch share D
+            ([profile] * 3, [p, p]),  # one diffusivity row per run
+            ([profile], [p, p]),
+            ([profile] * 2, [p]),  # one parameter set per run
+            ([profile] * 2, [p, p, p]),
+        ]:
+            with pytest.raises(ValueError):
+                run(batch, A, params, opts, T=2.0)
+        assert run(batch, [profile] * 2, [p, p], opts, T=2.0) is batch
 
     def test_rejects_past_final_time(self):
         m = build_uniform_mesh(0.0, 1.0, 0.005)
