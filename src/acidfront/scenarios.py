@@ -112,6 +112,10 @@ class ScenarioConfig:
             )
         if not self.T > 0.0:
             raise ConfigurationError(f"final time must be positive, got {self.T!r}")
+        span = self.xmax - self.xmin
+        for name, count in (("T/dt", self.T / self.dt), ("(xmax - xmin)/dx", span / self.dx)):
+            if not count < np.iinfo(np.intp).max:
+                raise ConfigurationError(f"{name} = {count!r} is more than an array can index")
         if step_count(0.0, self.T, self.dt) == 0:
             raise ConfigurationError(
                 f"final time {self.T!r} is shorter than one step dt={self.dt!r}"

@@ -65,25 +65,30 @@ numbers do not depend on the block size.
 
 The three LAPACK routines (dgtsv, dgttrf, dgttrs) are scipy's, bound from
 its f2py extension module ``scipy.linalg._flapack``, which this module
-loads on its own (``_lapack_routines``).  Importing them through
-``scipy.linalg`` would run that package's ``__init__``, which costs about
-0.3 s (mostly scipy's array-API copy of numpy): more than an everyday
-preset run marches.  The module is registered under its own name, so
-``scipy.linalg.lapack`` exports the very same function objects, whichever
-of the two is imported first."""
+loads on its own (``_lapack_routines``): it finds scipy without running
+the package, so neither ``scipy`` nor ``scipy.linalg`` is executed (except
+on Windows, see below).  Importing the routines through ``scipy.linalg``
+would run that package's ``__init__``, which costs about 0.3 s (mostly
+scipy's array-API copy of numpy): more than an everyday preset run
+marches; ``import scipy`` alone costs about 10 ms and 1 MiB.  The module is
+registered under its own name, so ``scipy.linalg.lapack`` exports the very
+same function objects, whichever of the two is imported first."""
 
 from __future__ import annotations
 
+import importlib.machinery
 import importlib.util
 import math
 import sys
-import sysconfig
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
+
+if sys.platform == "win32":
+    # the wheel's __init__ puts scipy.libs, which _flapack needs, on the DLL search path
+    import scipy  # noqa: F401
 
 # reaction_u/v/w are the readable reference of the kinetics that
 # _Stepper._step fuses; perfbench/tracing.py rebinds them in this module.
@@ -96,18 +101,22 @@ _FLAPACK = "scipy.linalg._flapack"
 
 def _lapack_routines():
     """LAPACK's dgtsv, dgttrf and dgttrs from scipy's f2py extension module,
-    loaded without running ``scipy.linalg``.
+    loaded without running ``scipy`` or ``scipy.linalg`` (on Windows,
+    ``scipy`` has run at import).
 
-    The module is reused if ``scipy.linalg`` loaded it first, and otherwise
-    registered under its own name, so a later ``import scipy.linalg`` reuses
-    it: both see the same function objects."""
+    The import system finds scipy's directory and picks the extension file
+    in its ``linalg`` directory.  The module is reused if ``scipy.linalg``
+    loaded it first, and otherwise registered under its own name, so a later
+    ``import scipy.linalg`` reuses it: both see the same function objects."""
     module = sys.modules.get(_FLAPACK)
     if module is None:
-        suffix = sysconfig.get_config_var("EXT_SUFFIX")
-        path = Path(scipy.__file__).parent / "linalg" / f"_flapack{suffix}"
-        if not path.is_file():
-            raise ImportError(f"scipy {scipy.__version__} has no LAPACK extension at {path}")
-        spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+        package = importlib.util.find_spec("scipy")
+        if package is None:
+            raise ImportError("acidfront needs scipy, which is not installed")
+        linalg = str(Path(package.origin).parent / "linalg")
+        spec = importlib.machinery.PathFinder.find_spec(_FLAPACK, [linalg])
+        if spec is None:
+            raise ImportError(f"scipy has no LAPACK extension in {linalg}")
         module = importlib.util.module_from_spec(spec)
         sys.modules[_FLAPACK] = module
         spec.loader.exec_module(module)

@@ -101,6 +101,19 @@ class TestSimulate:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "override", [("--T", "1e308"), ("--dt", "1e-320", "--T", "0.01"), ("--dx", "1e-300", "--T", "0.01")]
+    )
+    def test_count_past_an_array_index_rejected(self, tmp_path, capsys, no_run, override):
+        # the first two used to end in an OverflowError from math.ceil(inf),
+        # the last in numpy's "Maximum allowed size exceeded", leaving --out
+        rc = main(["simulate", "table1-d12.5", *override, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "more than an array can index" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_infinite_destructiveness_rejected(self, tmp_path, capsys):
         # used to march and stop as a numerical instability (exit 2)
         rc = main(["simulate", "table1-d12.5", "--d", "inf", "--T", "0.1", "--out", str(tmp_path / "out")])
@@ -298,6 +311,15 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="scipy's __init__ sets the DLL path there")
+    def test_import_leaves_scipy_out(self):
+        # the LAPACK extension is found and loaded without running scipy's
+        # __init__, which cost about 10 ms and 1 MiB of every start-up
+        code = "import sys, acidfront.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "['scipy.linalg._flapack']\n"
 
     def test_warning_names_no_package_file(self, tmp_path):
         # the warning used to name scenarios.py:541 and print its source line
