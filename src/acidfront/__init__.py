@@ -13,7 +13,6 @@ from .analysis import (
     detect_gap,
     effective_diffusivity,
     harmonic_mean_piecewise,
-    harmonic_mean_quadrature,
     homogenization_compare,
     leveque_yee_step,
     tail_speed,
@@ -41,7 +40,6 @@ from .mesh import (
     SingleJump,
     Sinusoidal,
     build_uniform_mesh,
-    mesh_from_interfaces,
     project_cell_averages,
 )
 from .scenarios import (
@@ -69,8 +67,6 @@ from .scheme import (
     TridiagonalSystem,
     assemble_implicit_v,
     assemble_implicit_w,
-    diffusion_operator,
-    interface_diffusivity_arithmetic,
     interface_diffusivity_harmonic,
     reaction_step_limit,
     run,

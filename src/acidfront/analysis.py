@@ -284,31 +284,6 @@ def harmonic_mean_piecewise(alpha0: float, alpha1: float, beta: float) -> float:
     return alpha0 * alpha1 / (alpha0 * beta + (1.0 - beta) * alpha1)
 
 
-def harmonic_mean_quadrature(p: DiffusionProfile, tol: float = 1e-10) -> float:
-    """Harmonic mean of a periodic profile over one period, by composite
-    midpoint quadrature of 1/A refined until two successive estimates agree
-    to ``tol`` relatively."""
-    period = p.period
-    if period is None:
-        raise ValueError(f"{type(p).__name__} profile is not periodic")
-    if not tol > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
-
-    def midpoint(n: int) -> float:
-        x = (np.arange(n) + 0.5) * (period / n)
-        return float(np.mean(1.0 / p.value(x))) * period
-
-    n = 32
-    estimate = midpoint(n)
-    while n <= 2**23:
-        n *= 2
-        refined = midpoint(n)
-        if abs(refined - estimate) <= tol * abs(refined):
-            return period / refined
-        estimate = refined
-    raise RuntimeError(f"harmonic-mean quadrature did not converge to tol={tol!r}")
-
-
 def effective_diffusivity(p: DiffusionProfile) -> float:
     """Constant replacement candidate for a periodic profile: its harmonic
     mean, in closed form for both periodic families."""

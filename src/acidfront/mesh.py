@@ -17,33 +17,27 @@ import numpy as np
 
 from .errors import ConfigurationError, ResolutionWarning
 
-# Relative tolerance for calling a mesh uniform, and for accepting a cell
-# count as integer in build_uniform_mesh.
+# Relative tolerance for the spread of a mesh's cell widths, and for
+# accepting a cell count as integer in build_uniform_mesh.
 _UNIFORM_RTOL = 1e-12
 _COUNT_RTOL = 1e-6
 
 
-def _readonly(a) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True)
 class Mesh:
-    """Partition of an interval into finite-volume cells.
+    """Partition of an interval into cells of one width.
 
     ``interfaces`` holds the N+1 strictly increasing cell boundaries,
-    ``centers`` the N cell midpoints, ``widths`` the N cell sizes.
-    ``uniform`` is true when all widths agree to within 1e-12 of the
-    domain length.  Construct through :func:`build_uniform_mesh` or
-    :func:`mesh_from_interfaces`; instances are immutable.
+    ``centers`` the N cell midpoints, ``widths`` the N cell sizes, which
+    agree to within 1e-12 of the domain length.  Construct through
+    :func:`build_uniform_mesh`; instances are immutable.  The readable
+    operators the tests compare the scheme against (``tests/oracles.py``)
+    read only ``widths``.
     """
 
     interfaces: np.ndarray
     centers: np.ndarray
     widths: np.ndarray
-    uniform: bool
 
     @property
     def n_cells(self) -> int:
@@ -59,38 +53,19 @@ class Mesh:
 
     @property
     def dx(self) -> float:
-        """Common cell width; only meaningful on uniform meshes."""
-        if not self.uniform:
-            raise ValueError("mesh is not uniform, cells have no common width")
+        """Common cell width."""
         return float(self.widths[0])
-
-
-def mesh_from_interfaces(interfaces) -> Mesh:
-    """Build a (possibly nonuniform) mesh from an explicit interface sequence."""
-    ifc = _readonly(interfaces)
-    if ifc.ndim != 1 or ifc.size < 4:
-        raise ValueError("mesh needs at least 3 cells (4 interfaces)")
-    if not np.all(np.isfinite(ifc)):
-        raise ValueError("mesh interfaces must be finite")
-    widths = np.diff(ifc)
-    if not np.all(widths > 0.0):
-        raise ValueError("mesh interfaces must be strictly increasing")
-    centers = 0.5 * (ifc[:-1] + ifc[1:])
-    length = float(ifc[-1] - ifc[0])
-    uniform = float(widths.max() - widths.min()) <= _UNIFORM_RTOL * length
-    return Mesh(
-        interfaces=ifc,
-        centers=_readonly(centers),
-        widths=_readonly(widths),
-        uniform=uniform,
-    )
 
 
 def build_uniform_mesh(xmin: float, xmax: float, dx: float) -> Mesh:
     """Tile [xmin, xmax] with cells of width dx.
 
     The spacing must divide the domain into an integer number (>= 3) of
-    cells, up to a small relative tolerance for float noise.
+    cells, up to a small relative tolerance for float noise.  The
+    interfaces are ``np.linspace(xmin, xmax, N + 1)``; where the floats
+    near them are too coarse to space them evenly (cell widths spreading
+    by more than 1e-12 of the domain length), or the arrays do not fit in
+    memory, the mesh is rejected.
     """
     if not xmax > xmin:
         raise ConfigurationError(f"empty domain: xmin={xmin!r}, xmax={xmax!r}")
@@ -108,7 +83,21 @@ def build_uniform_mesh(xmin: float, xmax: float, dx: float) -> Mesh:
             f"mesh needs at least 3 cells, got {n} from dx={dx!r} "
             f"on [{xmin!r}, {xmax!r}]"
         )
-    return mesh_from_interfaces(np.linspace(xmin, xmax, n + 1))
+    try:
+        interfaces = np.linspace(xmin, xmax, n + 1)
+        widths = np.diff(interfaces)
+        centers = 0.5 * (interfaces[:-1] + interfaces[1:])
+    except MemoryError:
+        raise ConfigurationError(f"a mesh of {n} cells does not fit in memory") from None
+    narrowest, widest = float(widths.min()), float(widths.max())
+    if widest - narrowest > _UNIFORM_RTOL * float(interfaces[-1] - interfaces[0]):
+        raise ConfigurationError(
+            f"floats near [{xmin!r}, {xmax!r}] cannot space {n} cells of width "
+            f"{dx!r} evenly: their widths range from {narrowest!r} to {widest!r}"
+        )
+    for array in (interfaces, centers, widths):
+        array.setflags(write=False)
+    return Mesh(interfaces=interfaces, centers=centers, widths=widths)
 
 
 class DiffusionProfile:

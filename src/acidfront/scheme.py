@@ -26,13 +26,14 @@ Both implicit matrices are I - gamma*L(kappa), and one builder assembles
 them (``_BackwardEuler``): from constants computed once from the cell
 widths it forms the interface coefficients (width-weighted arithmetic
 averages in place, or harmonic means), zeroes them at the junctions between
-runs and writes the bands into reused buffers.  ``diffusion_operator`` on
-``interface_diffusivity_arithmetic`` or ``interface_diffusivity_harmonic``
-is its readable reference; the tests hold the builder's bands equal to it
-bit for bit.  The acid matrix depends only on A, dt and the mesh, which a
-run holds fixed, so it is factored once per run (LAPACK gttrf) and each
-step solves with the factors (gttrs).  The tumour matrix changes with u and
-is rebuilt and solved each step with LAPACK gtsv.
+runs and writes the bands into reused buffers.  Its readable reference is
+in ``tests/oracles.py``: ``diffusion_operator``, the flux-form operator L,
+on ``interface_diffusivity_arithmetic`` or ``interface_diffusivity_harmonic``;
+the tests hold the builder's bands equal to it bit for bit.  The acid
+matrix depends only on A, dt and the mesh, which a run holds fixed, so it
+is factored once per run (LAPACK gttrf) and each step solves with the
+factors (gttrs).  The tumour matrix changes with u and is rebuilt and
+solved each step with LAPACK gtsv.
 
 The explicit stage is ``core.reaction_u/v/w`` times dt plus the old fields,
 fused into eight numpy calls over stacked rows: 1 - [u, v], then
@@ -42,8 +43,9 @@ same operands in the same order, so every value rounds as theirs does; the
 functions stay as the readable reference.  With the nine calls of the
 tumour bands a step makes 17 numpy calls and 2 LAPACK calls (a batch makes
 one more, to zero its junctions).  The tests hold the stepper's fields equal,
-byte for byte, to a step built from reaction_u/v/w, ``diffusion_operator``
-and the LAPACK routines called one at a time.
+byte for byte, to a step built from reaction_u/v/w, the reference
+``diffusion_operator`` and the LAPACK routines called one at a time
+(``tests/oracles.py``).
 
 ``run`` is the hot loop, and it marches in blocks.  Each step writes its
 fields into the next row of one preallocated (K+1, 3, B*N) history array
@@ -244,11 +246,6 @@ class TridiagonalSystem:
             raise ValueError("inconsistent tridiagonal band lengths")
 
 
-def interface_diffusivity_arithmetic(aL, aR, dxL, dxR):
-    """Width-weighted average of the two cell coefficients at an interface."""
-    return (aL * dxL + aR * dxR) / (dxL + dxR)
-
-
 def interface_diffusivity_harmonic(aL, aR):
     """Harmonic mean of the two cell coefficients; requires both positive."""
     if np.any(np.asarray(aL) <= 0.0) or np.any(np.asarray(aR) <= 0.0):
@@ -256,32 +253,14 @@ def interface_diffusivity_harmonic(aL, aR):
     return 2.0 * aL * aR / (aL + aR)
 
 
-def diffusion_operator(kappa: np.ndarray, mesh: Mesh):
-    """Tridiagonal bands (sub, diag, super) of the flux-form operator L.
-
-    (L q)_i = (F_{i+1/2} - F_{i-1/2}) / dx_i with interior fluxes
-    F = kappa * (q_right - q_left) / (center distance) and zero exterior
-    fluxes.  Interior row sums vanish identically, boundary rows lose one
-    off-diagonal to the Neumann closure.
-    """
-    widths = mesh.widths
-    gaps = 0.5 * (widths[:-1] + widths[1:])
-    cond = kappa / gaps
-    super_ = cond / widths[:-1]
-    sub = cond / widths[1:]
-    diag = np.zeros(mesh.n_cells)
-    diag[:-1] -= super_
-    diag[1:] -= sub
-    return sub, diag, super_
-
-
 _NEGATIVE_KAPPA = "negative tumour interface coefficient: healthy density exceeded 1"
 _SINGULAR = "singular tridiagonal system (LAPACK gtsv info={})"
 
 
 class _BackwardEuler:
-    """The matrix I - gamma*L(kappa) of ``diffusion_operator`` for runs of
-    ``block`` cells laid end to end, with cell ``widths``.
+    """The matrix I - gamma*L(kappa) of the reference ``diffusion_operator``
+    (``tests/oracles.py``) for runs of ``block`` cells laid end to end, with
+    cell ``widths``.
 
     The coefficient at each junction between two runs is zeroed, which
     decouples them.  A negative coefficient (the tumour's, once u exceeds
@@ -294,8 +273,9 @@ class _BackwardEuler:
     def __init__(self, widths: np.ndarray, block: int, gamma: float):
         n = widths.size
         self._widths = widths
-        # wL + wR is twice diffusion_operator's gap: kappa/wsum is exactly half
-        # its kappa/gap (no band is subnormal), so ``bands`` scales by -2*gamma.
+        # wL + wR is twice the reference operator's gap: kappa/wsum is exactly
+        # half its kappa/gap (no band is subnormal), so ``bands`` scales by
+        # -2*gamma.
         self._wsum = widths[:-1] + widths[1:]
         # The widths left and right of each interface: two overlapping rows
         # over the widths, a view (a stacked copy would cost 2N floats of peak).

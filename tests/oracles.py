@@ -2,22 +2,70 @@
 
 They are written for reading, not speed: the interface coefficients come
 from ``interface_diffusivity_arithmetic/harmonic`` and the operator from
-``diffusion_operator``, independently of the band builder the stepper uses.
+``diffusion_operator``, independently of the band builder the stepper uses,
+and ``harmonic_mean_quadrature`` checks the closed-form harmonic means.
 """
 
 import numpy as np
 
 from acidfront.core import reaction_u, reaction_v, reaction_w
-from acidfront.mesh import Mesh
+from acidfront.mesh import DiffusionProfile, Mesh
 from acidfront.scheme import (
     ARITHMETIC,
     dgtsv,
     dgttrf,
     dgttrs,
-    diffusion_operator,
-    interface_diffusivity_arithmetic,
     interface_diffusivity_harmonic,
 )
+
+
+def interface_diffusivity_arithmetic(aL, aR, dxL, dxR):
+    """Width-weighted average of the two cell coefficients at an interface."""
+    return (aL * dxL + aR * dxR) / (dxL + dxR)
+
+
+def diffusion_operator(kappa: np.ndarray, mesh: Mesh):
+    """Tridiagonal bands (sub, diag, super) of the flux-form operator L.
+
+    (L q)_i = (F_{i+1/2} - F_{i-1/2}) / dx_i with interior fluxes
+    F = kappa * (q_right - q_left) / (center distance) and zero exterior
+    fluxes.  Interior row sums vanish identically, boundary rows lose one
+    off-diagonal to the Neumann closure.
+    """
+    widths = mesh.widths
+    gaps = 0.5 * (widths[:-1] + widths[1:])
+    cond = kappa / gaps
+    super_ = cond / widths[:-1]
+    sub = cond / widths[1:]
+    diag = np.zeros(mesh.n_cells)
+    diag[:-1] -= super_
+    diag[1:] -= sub
+    return sub, diag, super_
+
+
+def harmonic_mean_quadrature(p: DiffusionProfile, tol: float = 1e-10) -> float:
+    """Harmonic mean of a periodic profile over one period, by composite
+    midpoint quadrature of 1/A refined until two successive estimates agree
+    to ``tol`` relatively."""
+    period = p.period
+    if period is None:
+        raise ValueError(f"{type(p).__name__} profile is not periodic")
+    if not tol > 0.0:
+        raise ValueError(f"tolerance must be positive, got {tol!r}")
+
+    def midpoint(n: int) -> float:
+        x = (np.arange(n) + 0.5) * (period / n)
+        return float(np.mean(1.0 / p.value(x))) * period
+
+    n = 32
+    estimate = midpoint(n)
+    while n <= 2**23:
+        n *= 2
+        refined = midpoint(n)
+        if abs(refined - estimate) <= tol * abs(refined):
+            return period / refined
+        estimate = refined
+    raise RuntimeError(f"harmonic-mean quadrature did not converge to tol={tol!r}")
 
 
 def interface_coefficients(cells, mesh, average=ARITHMETIC):
@@ -44,7 +92,6 @@ def end_to_end(mesh, runs):
         interfaces=np.concatenate(([0.0], np.cumsum(widths))),
         centers=np.tile(mesh.centers, runs),
         widths=widths,
-        uniform=mesh.uniform,
     )
 
 

@@ -15,7 +15,6 @@ import pytest
 from acidfront.analysis import (
     detect_gap,
     harmonic_mean_piecewise,
-    harmonic_mean_quadrature,
     leveque_yee_step,
     tail_speed,
 )
@@ -32,8 +31,9 @@ from acidfront.scenarios import (
     observed_order,
     run_homogenization_suite,
 )
-from acidfront.scheme import SchemeOptions, SimulationState, diffusion_operator, step_imex
+from acidfront.scheme import SchemeOptions, SimulationState, step_imex
 from conftest import raw_params
+from oracles import diffusion_operator, harmonic_mean_quadrature
 
 TABLE1_PRESETS = ("table1-d0.5", "table1-d1.5", "table1-d2.5", "table1-d12.5")
 JUMP_PRESETS = (

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from acidfront import scenarios
+from acidfront import mesh, scenarios
 from acidfront.cli import main
 from acidfront.scenarios import parse_config, preset, render_config
 
@@ -55,11 +55,24 @@ class TestSimulate:
         assert rc == 1
         assert "unknown preset" in capsys.readouterr().err
 
-    def test_bad_config_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda path: path.write_text("nonsense\n"),
+            # floats near 1e16 are 2 apart: used to end in a ValueError
+            # traceback from the mesh, leaving --out
+            lambda path: write_small_config(path, xmin=1e16, xmax=1e16 + 64.0, dx=1.0),
+        ],
+        ids=["nonsense", "below-float-resolution"],
+    )
+    def test_bad_config_file(self, tmp_path, capsys, write):
         cfg_path = tmp_path / "bad.cfg"
-        cfg_path.write_text("nonsense\n")
+        write(cfg_path)
         rc = main(["simulate", str(cfg_path), "--out", str(tmp_path / "out")])
         assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_instability_exit_code(self, tmp_path):
         cfg_path = tmp_path / "unstable.cfg"
@@ -112,6 +125,19 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "more than an array can index" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_mesh_past_memory_rejected(self, tmp_path, capsys, no_run, monkeypatch):
+        # 2e9 cells used to end in numpy's _ArrayMemoryError traceback,
+        # leaving --out; nothing is allocated here
+        def linspace(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(mesh.np, "linspace", linspace)
+        rc = main(["simulate", "table1-d12.5", "--dx", "1e-9", "--T", "0.01", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: a mesh of 2000000000 cells does not fit in memory\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_infinite_destructiveness_rejected(self, tmp_path, capsys):

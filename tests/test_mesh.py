@@ -6,6 +6,7 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from acidfront import mesh
 from acidfront.errors import ConfigurationError, ResolutionWarning
 from acidfront.mesh import (
     Constant,
@@ -13,7 +14,6 @@ from acidfront.mesh import (
     SingleJump,
     Sinusoidal,
     build_uniform_mesh,
-    mesh_from_interfaces,
     project_cell_averages,
 )
 
@@ -22,7 +22,7 @@ class TestBuildUniformMesh:
     def test_unit_interval_reference_spacing(self):
         m = build_uniform_mesh(0.0, 1.0, 0.005)
         assert m.n_cells == 200
-        assert m.uniform
+        assert m.dx == m.widths[0]
         assert m.centers[0] == pytest.approx(0.0025)
         assert m.centers[1] == pytest.approx(0.0075)
         assert m.widths[0] == pytest.approx(0.005)
@@ -46,28 +46,33 @@ class TestBuildUniformMesh:
         with pytest.raises(ConfigurationError):
             build_uniform_mesh(0.0, 1.0, -0.1)
 
-
-class TestMeshFromInterfaces:
-    def test_nonuniform(self):
-        m = mesh_from_interfaces([0.0, 0.1, 0.3, 0.6, 1.0])
-        assert m.n_cells == 4
-        assert not m.uniform
-        assert np.allclose(m.widths, [0.1, 0.2, 0.3, 0.4])
-        assert np.allclose(m.centers, [0.05, 0.2, 0.45, 0.8])
-        with pytest.raises(ValueError):
-            m.dx
+    def test_three_cells_is_the_minimum(self):
+        assert build_uniform_mesh(0.0, 1.0, 1.0 / 3.0).n_cells == 3
 
     def test_centers_are_midpoints(self):
-        m = mesh_from_interfaces(np.geomspace(1.0, 2.0, 12))
+        # an offset domain: the linspace widths take several values
+        m = build_uniform_mesh(0.1, 0.5, 0.1)
+        assert len(set(m.widths)) > 1
         assert np.allclose(m.centers, 0.5 * (m.interfaces[:-1] + m.interfaces[1:]))
 
-    def test_rejects_non_increasing(self):
-        with pytest.raises(ValueError):
-            mesh_from_interfaces([0.0, 0.2, 0.2, 0.5, 1.0])
+    @pytest.mark.parametrize(
+        "xmin, xmax, dx", [(1e15, 1e15 + 3.0, 0.2), (1e16, 1e16 + 64.0, 1.0)]
+    )
+    def test_below_float_resolution_rejected(self, xmin, xmax, dx):
+        # the floats near 1e15 are 0.125 apart, near 1e16 2 apart: the first
+        # used to give widths 0.125 and 0.25 flagged as not uniform, the
+        # second a ValueError for interfaces that repeat
+        with pytest.raises(ConfigurationError, match="cannot space"):
+            build_uniform_mesh(xmin, xmax, dx)
 
-    def test_rejects_too_short(self):
-        with pytest.raises(ValueError):
-            mesh_from_interfaces([0.0, 0.5, 1.0])
+    def test_memory_error_names_the_cell_count(self, monkeypatch):
+        # used to raise numpy's _ArrayMemoryError; nothing is allocated here
+        def linspace(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(mesh.np, "linspace", linspace)
+        with pytest.raises(ConfigurationError, match="2000000000 cells does not fit in memory"):
+            build_uniform_mesh(0.0, 2.0, 1e-9)
 
     def test_arrays_immutable(self):
         m = build_uniform_mesh(0.0, 1.0, 0.25)
@@ -225,9 +230,12 @@ class TestProjectCellAverages:
         assert np.all(a <= alpha0 + span + 1e-12)
 
     def test_jump_averages_bounded(self):
-        m = mesh_from_interfaces([0.0, 0.2, 0.3, 0.7, 1.0])
-        a = project_cell_averages(SingleJump(0.1, 1.0, 0.33), m)
-        assert np.all((a >= 0.1) & (a <= 1.0))
+        # 500 cells with 11 distinct linspace widths, the jump inside a cell;
+        # a cell left of the jump averages to 0.1*w/w, which may round an ulp
+        # below 0.1
+        m = build_uniform_mesh(0.0, 2.5, 0.005)
+        a = project_cell_averages(SingleJump(0.1, 1.0, 0.3333), m)
+        assert np.all((a >= 0.1 - 1e-12) & (a <= 1.0 + 1e-12))
 
 
 class TestAliasingWarning:

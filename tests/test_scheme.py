@@ -13,12 +13,10 @@ from acidfront.analysis import PositivityRecorder, WaveSpeedRecorder
 from acidfront.errors import FrontProximityWarning, InstabilityError, StabilityWarning
 from acidfront.mesh import (
     Constant,
-    Mesh,
     PeriodicPiecewiseConstant,
     SingleJump,
     Sinusoidal,
     build_uniform_mesh,
-    mesh_from_interfaces,
     project_cell_averages,
 )
 from acidfront.scheme import (
@@ -29,8 +27,6 @@ from acidfront.scheme import (
     TridiagonalSystem,
     assemble_implicit_v,
     assemble_implicit_w,
-    diffusion_operator,
-    interface_diffusivity_arithmetic,
     interface_diffusivity_harmonic,
     reaction_step_limit,
     run,
@@ -42,8 +38,11 @@ from conftest import raw_params
 from oracles import (
     backward_euler_bands,
     dense,
+    diffusion_operator,
+    end_to_end,
     imex_step,
     interface_coefficients,
+    interface_diffusivity_arithmetic,
     is_diagonally_dominant,
     semidiscrete_rhs,
 )
@@ -366,21 +365,23 @@ class TestSemidiscreteRhs:
         assert np.allclose(dv, [0.0, -1.0, 1.0, 0.0, 0.0], atol=1e-14)
 
     @pytest.mark.parametrize("average", [ARITHMETIC, HARMONIC])
-    def test_diffusion_conserves_totals_on_nonuniform_mesh(self, average):
+    def test_diffusion_conserves_totals(self, average):
         # flux form telescopes: with reactions off the width-weighted sums
-        # of dv and dw vanish
-        m = mesh_from_interfaces([0.0, 0.05, 0.2, 0.3, 0.55, 0.6, 1.0])
+        # of dv and dw vanish (24 cells of width 1e-6, 6 distinct linspace
+        # widths)
+        m = build_uniform_mesh(0.0, 2.4e-5, 1e-6)
         rng = np.random.default_rng(17)
-        s = SimulationState(m, 0.0, *rng.uniform(0.0, 1.0, (3, 6)))
+        s = SimulationState(m, 0.0, *rng.uniform(0.0, 1.0, (3, 24)))
         p = raw_params(d=0.0, r=0.0, D=0.3, c=0.0)
-        _, dv, dw = semidiscrete_rhs(s, rng.uniform(0.1, 2.0, 6), p, SchemeOptions(0.01, average))
+        _, dv, dw = semidiscrete_rhs(s, rng.uniform(0.1, 2.0, 24), p, SchemeOptions(0.01, average))
         assert abs(np.sum(dv * m.widths)) <= 1e-14 * np.sum(np.abs(dv * m.widths))
         assert abs(np.sum(dw * m.widths)) <= 1e-14 * np.sum(np.abs(dw * m.widths))
 
 
 class TestDiffusionOperator:
     def test_interior_row_sums_vanish(self):
-        m = mesh_from_interfaces([0.0, 0.1, 0.35, 0.6, 1.0])
+        # an offset domain: the linspace widths take 3 values
+        m = build_uniform_mesh(0.1, 0.5, 0.1)
         kappa = np.array([0.3, 1.0, 0.7])
         sub, diag, sup = diffusion_operator(kappa, m)
         rows = np.zeros(4)
@@ -395,32 +396,24 @@ class TestBackwardEulerBuilder:
     equal the reference I - gamma*L(kappa) of diffusion_operator exactly."""
 
     MESHES = {
+        # one width, a power of 2
         "uniform": build_uniform_mesh(0.0, 1.0, 1.0 / 16),
-        "nonuniform": mesh_from_interfaces([0.0, 0.05, 0.2, 0.3, 0.55, 0.6, 0.62, 0.8, 1.0]),
-        # widths from 1e-6 to 1, in random order
-        "decades": mesh_from_interfaces(
-            np.cumsum([0.0, *10.0 ** np.random.default_rng(37).uniform(-6.0, 0.0, 24)])
-        ),
+        # linspace widths that round to 11 distinct values
+        "rounded": build_uniform_mesh(0.0, 2.5, 0.005),
+        # widths of 1e-6, in 6 distinct values
+        "micro": build_uniform_mesh(0.0, 2.4e-5, 1e-6),
     }
     # the tumour's D*dt and the acid's dt, over decades
     GAMMAS = (0.0137, 3e-9, 2.5e-6, 4e-4, 0.61, 85.0, 1.2e4)
 
     @pytest.mark.parametrize("runs", [1, 3])
-    @pytest.mark.parametrize("kind", ["uniform", "nonuniform", "decades"])
+    @pytest.mark.parametrize("kind", ["uniform", "rounded", "micro"])
     @pytest.mark.parametrize("average", [ARITHMETIC, HARMONIC])
     def test_bands_equal_reference(self, average, kind, runs):
         single = self.MESHES[kind]
         block = single.n_cells
-        # the runs laid end to end; the oracles read only the widths and the
-        # cell count
-        widths = np.tile(single.widths, runs)
-        mesh = Mesh(
-            interfaces=np.concatenate(([0.0], np.cumsum(widths))),
-            centers=np.tile(single.centers, runs),
-            widths=widths,
-            uniform=single.uniform,
-        )
-        n = mesh.n_cells
+        mesh = end_to_end(single, runs)
+        widths, n = mesh.widths, mesh.n_cells
         rng = np.random.default_rng(29)
         for gamma in self.GAMMAS:
             builder = scheme._BackwardEuler(widths, block, gamma)
@@ -454,7 +447,7 @@ class TestStepBitForBit:
     )
 
     @pytest.mark.parametrize("runs", [1, 3])
-    @pytest.mark.parametrize("kind", ["uniform", "nonuniform"])
+    @pytest.mark.parametrize("kind", ["uniform", "rounded"])
     @pytest.mark.parametrize("average", [ARITHMETIC, HARMONIC])
     def test_two_steps_equal_reference(self, average, kind, runs):
         mesh = TestBackwardEulerBuilder.MESHES[kind]
@@ -649,11 +642,11 @@ class TestRun:
 
 @st.composite
 def meshes(draw):
+    # offset domains, whose linspace widths take several values
     n = draw(st.integers(3, 40))
-    if draw(st.booleans()):
-        return build_uniform_mesh(0.0, 1.0, 1.0 / n)
-    widths = np.array(draw(st.lists(st.floats(0.2, 5.0), min_size=n, max_size=n)))
-    return mesh_from_interfaces(np.concatenate(([0.0], np.cumsum(widths) / widths.sum())))
+    xmin = draw(st.floats(-1.0, 1.0))
+    length = draw(st.floats(0.5, 2.0))
+    return build_uniform_mesh(xmin, xmin + length, length / n)
 
 
 @st.composite
