@@ -3,8 +3,8 @@
 Commands: ``simulate`` (one preset or config file), ``list-presets``,
 ``homogenize`` (the periodic-vs-effective benchmark matrix), ``convergence``
 (manufactured-solution order study), and ``speed-table`` (tail speeds for a
-preset batch).  Exit codes: 0 success, 1 configuration error, 2 numerical
-instability.
+preset batch).  Exit codes: 0 success, 1 configuration error or a run too large
+for memory, 2 numerical instability.
 """
 
 from __future__ import annotations
@@ -63,8 +63,9 @@ def _apply_overrides(cfg, args):
 def _out_directory(out):
     """Create the ``--out`` directory, if one is given, before any run; a
     path that cannot be a directory (an existing file, say) is a
-    configuration error.  If the library then rejects the call, the
-    directories made here are removed again (while they are empty)."""
+    configuration error.  If the library then rejects the call, or it runs
+    out of memory, the directories made here are removed again (while they
+    are empty)."""
     if out is None:
         yield
         return
@@ -76,7 +77,7 @@ def _out_directory(out):
         raise ConfigurationError(f"cannot make --out {out!r} a directory: {exc}") from exc
     try:
         yield
-    except ConfigurationError:
+    except (ConfigurationError, MemoryError):
         for directory in made:
             with contextlib.suppress(OSError):
                 directory.rmdir()
@@ -235,6 +236,10 @@ def main(argv=None) -> int:
         return 0
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # numpy's message names the shape of the array that did not fit
+        print(f"error: out of memory. {exc}".rstrip(), file=sys.stderr)
         return 1
     except InstabilityError as exc:
         print(f"numerical instability: {exc}", file=sys.stderr)

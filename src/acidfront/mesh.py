@@ -29,7 +29,7 @@ class Mesh:
 
     ``interfaces`` holds the N+1 strictly increasing cell boundaries,
     ``centers`` the N cell midpoints, ``widths`` the N cell sizes, which
-    agree to within 1e-12 of the domain length.  Construct through
+    must agree to within 1e-12 of the domain length.  Construct through
     :func:`build_uniform_mesh`; instances are immutable.  The readable
     operators the tests compare the scheme against (``tests/oracles.py``)
     read only ``widths``.
@@ -38,6 +38,14 @@ class Mesh:
     interfaces: np.ndarray
     centers: np.ndarray
     widths: np.ndarray
+
+    def __post_init__(self):
+        narrowest, widest = float(self.widths.min()), float(self.widths.max())
+        if not widest - narrowest <= _UNIFORM_RTOL * (self.xmax - self.xmin):
+            raise ConfigurationError(
+                f"floats near [{self.xmin!r}, {self.xmax!r}] cannot space {self.n_cells} "
+                f"cells evenly: their widths range from {narrowest!r} to {widest!r}"
+            )
 
     @property
     def n_cells(self) -> int:
@@ -64,8 +72,7 @@ def build_uniform_mesh(xmin: float, xmax: float, dx: float) -> Mesh:
     cells, up to a small relative tolerance for float noise.  The
     interfaces are ``np.linspace(xmin, xmax, N + 1)``; where the floats
     near them are too coarse to space them evenly (cell widths spreading
-    by more than 1e-12 of the domain length), or the arrays do not fit in
-    memory, the mesh is rejected.
+    by more than 1e-12 of the domain length), :class:`Mesh` rejects them.
     """
     if not xmax > xmin:
         raise ConfigurationError(f"empty domain: xmin={xmin!r}, xmax={xmax!r}")
@@ -83,18 +90,9 @@ def build_uniform_mesh(xmin: float, xmax: float, dx: float) -> Mesh:
             f"mesh needs at least 3 cells, got {n} from dx={dx!r} "
             f"on [{xmin!r}, {xmax!r}]"
         )
-    try:
-        interfaces = np.linspace(xmin, xmax, n + 1)
-        widths = np.diff(interfaces)
-        centers = 0.5 * (interfaces[:-1] + interfaces[1:])
-    except MemoryError:
-        raise ConfigurationError(f"a mesh of {n} cells does not fit in memory") from None
-    narrowest, widest = float(widths.min()), float(widths.max())
-    if widest - narrowest > _UNIFORM_RTOL * float(interfaces[-1] - interfaces[0]):
-        raise ConfigurationError(
-            f"floats near [{xmin!r}, {xmax!r}] cannot space {n} cells of width "
-            f"{dx!r} evenly: their widths range from {narrowest!r} to {widest!r}"
-        )
+    interfaces = np.linspace(xmin, xmax, n + 1)
+    widths = np.diff(interfaces)
+    centers = 0.5 * (interfaces[:-1] + interfaces[1:])
     for array in (interfaces, centers, widths):
         array.setflags(write=False)
     return Mesh(interfaces=interfaces, centers=centers, widths=widths)

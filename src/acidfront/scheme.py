@@ -27,9 +27,9 @@ them (``_BackwardEuler``): from constants computed once from the cell
 widths it forms the interface coefficients (width-weighted arithmetic
 averages in place, or harmonic means), zeroes them at the junctions between
 runs and writes the bands into reused buffers.  Its readable reference is
-in ``tests/oracles.py``: ``diffusion_operator``, the flux-form operator L,
-on ``interface_diffusivity_arithmetic`` or ``interface_diffusivity_harmonic``;
-the tests hold the builder's bands equal to it bit for bit.  The acid
+the flux-form operator L in ``tests/oracles.py``, on arithmetic interface
+coefficients or on ``interface_diffusivity_harmonic``; the tests hold the
+builder's bands equal to it bit for bit.  The acid
 matrix depends only on A, dt and the mesh, which a run holds fixed, so it
 is factored once per run (LAPACK gttrf) and each step solves with the
 factors (gttrs).  The tumour matrix changes with u and is rebuilt and
@@ -44,7 +44,7 @@ functions stay as the readable reference.  With the nine calls of the
 tumour bands a step makes 17 numpy calls and 2 LAPACK calls (a batch makes
 one more, to zero its junctions).  The tests hold the stepper's fields equal,
 byte for byte, to a step built from reaction_u/v/w, the reference
-``diffusion_operator`` and the LAPACK routines called one at a time
+operator L and the LAPACK routines called one at a time
 (``tests/oracles.py``).
 
 ``run`` is the hot loop, and it marches in blocks.  Each step writes its
@@ -258,7 +258,7 @@ _SINGULAR = "singular tridiagonal system (LAPACK gtsv info={})"
 
 
 class _BackwardEuler:
-    """The matrix I - gamma*L(kappa) of the reference ``diffusion_operator``
+    """The matrix I - gamma*L(kappa) of the reference flux-form operator
     (``tests/oracles.py``) for runs of ``block`` cells laid end to end, with
     cell ``widths``.
 

