@@ -67,7 +67,6 @@ from .scheme import (
     TridiagonalSystem,
     assemble_implicit_v,
     assemble_implicit_w,
-    interface_diffusivity_harmonic,
     reaction_step_limit,
     run,
     solve_tridiagonal,

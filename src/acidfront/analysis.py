@@ -98,17 +98,15 @@ class InvasionRegime(str, Enum):
         return self.value
 
 
-def leveque_yee_step(v_prev, v_next, dx: float, dt: float, v_minus: float, v_plus: float):
-    """One-step LeVeque-Yee speed estimate on a uniform mesh.
+def leveque_yee_step(v_prev, v_next, dx: float, dt: float):
+    """One-step LeVeque-Yee speed estimate of the tumour front on a uniform mesh.
 
-    theta = (dx/dt) * sum_i(v_next_i - v_prev_i) / (v_minus - v_plus), summed
-    over the last axis: one estimate per run for (B, N) batch fields, and per
-    step and run for the consecutive rows of a block of steps.
+    theta = (dx/dt) * sum_i(v_next_i - v_prev_i) / (V_INVADED - V_INTACT),
+    summed over the last axis: one estimate per run for (B, N) batch fields,
+    and per step and run for the consecutive rows of a block of steps.
     """
-    if v_minus == v_plus:
-        raise ValueError("far-field states coincide; the speed estimate is undefined")
     increment = (np.asarray(v_next) - np.asarray(v_prev)).sum(axis=-1)
-    return (dx / dt) * increment / (v_minus - v_plus)
+    return (dx / dt) * increment / (V_INVADED - V_INTACT)
 
 
 def tail_speed(series: WaveSpeedSeries) -> tuple[float, float]:
@@ -151,9 +149,7 @@ class WaveSpeedRecorder:
 
     def __call__(self, first_step: int, times: np.ndarray, fields: np.ndarray):
         v = fields[:, 1]
-        self._thetas.append(
-            leveque_yee_step(v[:-1], v[1:], self._dx, self._dt, V_INVADED, V_INTACT)
-        )
+        self._thetas.append(leveque_yee_step(v[:-1], v[1:], self._dx, self._dt))
         self._times.append(times[1:].copy())
         # Only a genuine 0.5-crossing counts as a front; an invaded plateau
         # reaching into a boundary (e.g. the initial core at the left end)

@@ -74,11 +74,16 @@ def build_uniform_mesh(xmin: float, xmax: float, dx: float) -> Mesh:
     near them are too coarse to space them evenly (cell widths spreading
     by more than 1e-12 of the domain length), :class:`Mesh` rejects them.
     """
+    for name, bound in (("xmin", xmin), ("xmax", xmax)):
+        if not math.isfinite(bound):
+            raise ConfigurationError(f"domain bound {name} must be finite, got {bound!r}")
     if not xmax > xmin:
         raise ConfigurationError(f"empty domain: xmin={xmin!r}, xmax={xmax!r}")
     if not dx > 0.0:
         raise ConfigurationError(f"cell width must be positive, got {dx!r}")
     ratio = (xmax - xmin) / dx
+    if ratio == math.inf:
+        raise ConfigurationError(f"dx={dx!r} gives no finite cell count on [{xmin!r}, {xmax!r}]")
     n = round(ratio)
     if abs(ratio - n) > _COUNT_RTOL * max(1.0, ratio):
         raise ConfigurationError(

@@ -25,15 +25,13 @@ numbers a run on its own would.  A single run is the batch of one.
 Both implicit matrices are I - gamma*L(kappa), and one builder assembles
 them (``_BackwardEuler``): from constants computed once from the cell
 widths it forms the interface coefficients (width-weighted arithmetic
-averages in place, or harmonic means), zeroes them at the junctions between
-runs and writes the bands into reused buffers.  Its readable reference is
-the flux-form operator L in ``tests/oracles.py``, on arithmetic interface
-coefficients or on ``interface_diffusivity_harmonic``; the tests hold the
-builder's bands equal to it bit for bit.  The acid
-matrix depends only on A, dt and the mesh, which a run holds fixed, so it
-is factored once per run (LAPACK gttrf) and each step solves with the
-factors (gttrs).  The tumour matrix changes with u and is rebuilt and
-solved each step with LAPACK gtsv.
+averages, in place), zeroes them at the junctions between runs and writes
+the bands into reused buffers.  Its readable reference is the flux-form
+operator L in ``tests/oracles.py``; the tests hold the builder's bands
+equal to it bit for bit.  The acid matrix depends only on A, dt and the
+mesh, which a run holds fixed, so it is factored once per run (LAPACK
+gttrf) and each step solves with the factors (gttrs).  The tumour matrix
+changes with u and is rebuilt and solved each step with LAPACK gtsv.
 
 The explicit stage is ``core.reaction_u/v/w`` times dt plus the old fields,
 fused into eight numpy calls over stacked rows: 1 - [u, v], then
@@ -127,9 +125,6 @@ def _lapack_routines():
 
 dgtsv, dgttrf, dgttrs = _lapack_routines()
 
-ARITHMETIC = "arithmetic"
-HARMONIC = "harmonic"
-
 # How far a step count (T - t0)/dt may sit from a whole number and still
 # count as that number (float noise: 0.055/0.011 = 5.000000000000001).
 GRID_TOL = 1e-9
@@ -141,25 +136,13 @@ _BLOCK_BYTES = 512 * 1024
 
 @dataclass(frozen=True)
 class SchemeOptions:
-    """Time step and interface-averaging choices.
-
-    The acid coefficient may be averaged arithmetically (width-weighted) or
-    harmonically at cell interfaces.  The tumour coefficient (1 - u) is
-    degenerate (it vanishes where u = 1), which rules the harmonic mean out
-    for that equation, so it is always averaged arithmetically.
-    """
+    """The time step of a march: positive and finite."""
 
     dt: float
-    interface_average_w: str = ARITHMETIC
 
     def __post_init__(self):
-        if not self.dt > 0.0:
-            raise ValueError(f"time step must be positive, got {self.dt!r}")
-        if self.interface_average_w not in (ARITHMETIC, HARMONIC):
-            raise ValueError(
-                f"unknown interface average {self.interface_average_w!r} "
-                f"(choose {ARITHMETIC!r} or {HARMONIC!r})"
-            )
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"time step must be positive and finite, got {self.dt!r}")
 
 
 @dataclass(frozen=True)
@@ -246,13 +229,6 @@ class TridiagonalSystem:
             raise ValueError("inconsistent tridiagonal band lengths")
 
 
-def interface_diffusivity_harmonic(aL, aR):
-    """Harmonic mean of the two cell coefficients; requires both positive."""
-    if np.any(np.asarray(aL) <= 0.0) or np.any(np.asarray(aR) <= 0.0):
-        raise ValueError("harmonic interface averaging needs strictly positive values")
-    return 2.0 * aL * aR / (aL + aR)
-
-
 _NEGATIVE_KAPPA = "negative tumour interface coefficient: healthy density exceeded 1"
 _SINGULAR = "singular tridiagonal system (LAPACK gtsv info={})"
 
@@ -261,6 +237,12 @@ class _BackwardEuler:
     """The matrix I - gamma*L(kappa) of the reference flux-form operator
     (``tests/oracles.py``) for runs of ``block`` cells laid end to end, with
     cell ``widths``.
+
+    Interface coefficients are width-weighted arithmetic averages of the
+    cell coefficients.  The tumour coefficient (1 - u) is degenerate (it
+    vanishes where u = 1), which rules a harmonic mean out: a cell of intact
+    tissue would zero both of its interfaces, so the tumour could never
+    diffuse into it (and two such cells give 0/0).
 
     The coefficient at each junction between two runs is zeroed, which
     decouples them.  A negative coefficient (the tumour's, once u exceeds
@@ -292,16 +274,13 @@ class _BackwardEuler:
         self._off = self._flat[: 2 * n + 2].reshape(2, n + 1)[:, : n - 1]
         self._diag = self._flat[2 * n :]
 
-    def kappa(self, cells: np.ndarray, average: str = ARITHMETIC, out=None) -> np.ndarray:
+    def kappa(self, cells: np.ndarray, out=None) -> np.ndarray:
         """Interface coefficients of the cell coefficients ``cells`` along
-        the last axis, zero at the junctions.  The arithmetic average is
-        formed in place (it overwrites ``cells``), into ``out`` if given."""
-        if average == HARMONIC:
-            kappa = interface_diffusivity_harmonic(cells[..., :-1], cells[..., 1:])
-        else:
-            cells *= self._widths
-            kappa = np.add(cells[..., :-1], cells[..., 1:], out=out)
-            kappa /= self._wsum
+        the last axis, zero at the junctions.  They are formed in place
+        (``cells`` is overwritten), into ``out`` if given."""
+        cells *= self._widths
+        kappa = np.add(cells[..., :-1], cells[..., 1:], out=out)
+        kappa /= self._wsum
         if self._junctions is not None:
             kappa[..., self._junctions] = 0.0
         return kappa
@@ -349,7 +328,7 @@ def assemble_implicit_w(
 ) -> TridiagonalSystem:
     """Backward-Euler system (I - dt*L_A) w = w_expl for the acid stage."""
     system = _BackwardEuler(m.widths, m.n_cells, opts.dt)
-    kappa = system.kappa(np.array(A_cells, dtype=float), opts.interface_average_w)
+    kappa = system.kappa(np.array(A_cells, dtype=float))
     return TridiagonalSystem(*system.bands(kappa), rhs=w_expl)
 
 
@@ -369,7 +348,7 @@ def solve_tridiagonal(sys: TridiagonalSystem) -> np.ndarray:
 def _factor_acid(A_cells, opts: SchemeOptions, widths: np.ndarray, block: int):
     """LU factors (LAPACK gttrf) of the acid matrix I - dt*L_A: gttrs's arguments before b."""
     system = _BackwardEuler(widths, block, opts.dt)
-    bands = system.bands(system.kappa(np.array(A_cells, dtype=float), opts.interface_average_w))
+    bands = system.bands(system.kappa(np.array(A_cells, dtype=float)))
     *factors, info = dgttrf(*bands, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
     if info:
         raise InstabilityError(f"singular acid matrix (LAPACK gttrf info={info})")
@@ -460,7 +439,7 @@ class _Stepper:
             # Both solves overwrite their right-hand side, the contiguous
             # row of v or w, with the solution.
             np.subtract(1.0, u_new, out=cells)
-            info = dgtsv(*bands(interface(cells, ARITHMETIC, kappa)), v_new, 1, 1, 1, 1)[-1]
+            info = dgtsv(*bands(interface(cells, kappa)), v_new, 1, 1, 1, 1)[-1]
             if info:
                 return j, _SINGULAR.format(info)
             info = dgttrs(*acid_lu, w_new, overwrite_b=1)[-1]

@@ -1,7 +1,7 @@
 """Reference implementations the tests compare the package against.
 
 They are written for reading, not speed: the interface coefficients come
-from ``interface_diffusivity_arithmetic/harmonic`` and the operator from
+from ``interface_diffusivity_arithmetic`` and the operator from
 ``diffusion_operator``, independently of the band builder the stepper uses,
 and ``harmonic_mean_quadrature`` checks the closed-form harmonic means.
 """
@@ -10,13 +10,7 @@ import numpy as np
 
 from acidfront.core import reaction_u, reaction_v, reaction_w
 from acidfront.mesh import DiffusionProfile, Mesh
-from acidfront.scheme import (
-    ARITHMETIC,
-    dgtsv,
-    dgttrf,
-    dgttrs,
-    interface_diffusivity_harmonic,
-)
+from acidfront.scheme import dgtsv, dgttrf, dgttrs
 
 
 def interface_diffusivity_arithmetic(aL, aR, dxL, dxR):
@@ -68,14 +62,12 @@ def harmonic_mean_quadrature(p: DiffusionProfile, tol: float = 1e-10) -> float:
     raise RuntimeError(f"harmonic-mean quadrature did not converge to tol={tol!r}")
 
 
-def interface_coefficients(cells, mesh, average=ARITHMETIC):
+def interface_coefficients(cells, mesh):
     """Coefficient at each of the N-1 interior interfaces."""
     cells = np.asarray(cells, dtype=float)
-    if average == ARITHMETIC:
-        return interface_diffusivity_arithmetic(
-            cells[:-1], cells[1:], mesh.widths[:-1], mesh.widths[1:]
-        )
-    return interface_diffusivity_harmonic(cells[:-1], cells[1:])
+    return interface_diffusivity_arithmetic(
+        cells[:-1], cells[1:], mesh.widths[:-1], mesh.widths[1:]
+    )
 
 
 def backward_euler_bands(kappa, gamma, mesh):
@@ -112,14 +104,14 @@ def imex_step(fields, A_cells, params, opts, mesh):
     u = reaction_u(u, w, d) * dt + u
     v, w = reaction_v(v, r) * dt + v, reaction_w(v, w, c) * dt + w
 
-    def bands(cells, average, gamma):
-        kappa = interface_coefficients(cells, line, average)
+    def bands(cells, gamma):
+        kappa = interface_coefficients(cells, line)
         kappa[block - 1 :: block] = 0.0
         return backward_euler_bands(kappa, gamma, line)
 
-    *_, v, info = dgtsv(*bands(1.0 - u, ARITHMETIC, params[0].D * dt), v)
+    *_, v, info = dgtsv(*bands(1.0 - u, params[0].D * dt), v)
     assert info == 0
-    *factors, info = dgttrf(*bands(np.ravel(A_cells), opts.interface_average_w, dt))
+    *factors, info = dgttrf(*bands(np.ravel(A_cells), dt))
     assert info == 0
     w, info = dgttrs(*factors, w)
     assert info == 0
@@ -145,7 +137,7 @@ def semidiscrete_rhs(s, A_cells, p, opts):
     du = reaction_u(s.u, s.w, p.d)
     kappa_v = interface_coefficients(1.0 - s.u, s.mesh)
     dv = reaction_v(s.v, p.r) + p.D * apply_operator(kappa_v, s.v, s.mesh)
-    kappa_w = interface_coefficients(A_cells, s.mesh, opts.interface_average_w)
+    kappa_w = interface_coefficients(A_cells, s.mesh)
     dw = reaction_w(s.v, s.w, p.c) + apply_operator(kappa_w, s.w, s.mesh)
     return du, dv, dw
 

@@ -148,7 +148,7 @@ def test_c06_exact_shift_oracle():
         v_prev[60:80] = np.linspace(1.0, 0.0, 20, endpoint=False)
         v_next = np.roll(v_prev, 1)
         v_next[0] = 1.0
-        theta = leveque_yee_step(v_prev, v_next, dx, dt, 1.0, 0.0)
+        theta = leveque_yee_step(v_prev, v_next, dx, dt)
         assert abs(theta - dx / dt) <= 1e-12 * (dx / dt)
 
 

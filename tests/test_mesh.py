@@ -46,6 +46,22 @@ class TestBuildUniformMesh:
         with pytest.raises(ConfigurationError):
             build_uniform_mesh(0.0, 1.0, -0.1)
 
+    @pytest.mark.parametrize(
+        "xmin, xmax, match",
+        [
+            (-math.inf, 1.0, "xmin must be finite, got -inf"),
+            (0.0, math.inf, "xmax must be finite, got inf"),
+            (math.nan, 1.0, "xmin must be finite, got nan"),
+            (0.0, math.nan, "xmax must be finite, got nan"),
+            # finite bounds whose length overflows
+            (-1e308, 1e308, "no finite cell count"),
+        ],
+    )
+    def test_non_finite_bounds_rejected(self, xmin, xmax, match):
+        # round() of an infinite cell count used to raise OverflowError
+        with pytest.raises(ConfigurationError, match=match):
+            build_uniform_mesh(xmin, xmax, 0.1)
+
     def test_three_cells_is_the_minimum(self):
         assert build_uniform_mesh(0.0, 1.0, 1.0 / 3.0).n_cells == 3
 

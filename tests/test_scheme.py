@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 import warnings
@@ -20,14 +21,11 @@ from acidfront.mesh import (
     project_cell_averages,
 )
 from acidfront.scheme import (
-    ARITHMETIC,
-    HARMONIC,
     SchemeOptions,
     SimulationState,
     TridiagonalSystem,
     assemble_implicit_v,
     assemble_implicit_w,
-    interface_diffusivity_harmonic,
     reaction_step_limit,
     run,
     solve_tridiagonal,
@@ -117,33 +115,12 @@ class TestInterfaceAverages:
     def test_arithmetic_width_weighted(self):
         assert interface_diffusivity_arithmetic(0.1, 1.0, 1.0, 3.0) == pytest.approx(0.775)
 
-    def test_harmonic_constant(self):
-        assert interface_diffusivity_harmonic(0.7, 0.7) == pytest.approx(0.7)
-
-    def test_harmonic_values(self):
-        assert interface_diffusivity_harmonic(0.1, 1.0) == pytest.approx(2.0 * 0.1 / 1.1)
-        assert interface_diffusivity_harmonic(1.0, 3.0) == pytest.approx(1.5)
-
-    def test_harmonic_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            interface_diffusivity_harmonic(0.0, 1.0)
-
-    def test_harmonic_below_arithmetic(self):
-        rng = np.random.default_rng(7)
-        for a, b in rng.uniform(0.05, 2.0, size=(50, 2)):
-            harm = interface_diffusivity_harmonic(a, b)
-            arith = interface_diffusivity_arithmetic(a, b, 1.0, 1.0)
-            assert harm <= arith + 1e-15
-
 
 class TestSchemeOptions:
-    def test_rejects_bad_dt(self):
-        with pytest.raises(ValueError):
-            SchemeOptions(dt=0.0)
-
-    def test_rejects_unknown_average(self):
-        with pytest.raises(ValueError):
-            SchemeOptions(dt=0.01, interface_average_w="geometric")
+    @pytest.mark.parametrize("dt", [0.0, -0.01, math.nan, math.inf])
+    def test_rejects_bad_dt(self, dt):
+        with pytest.raises(ValueError, match="positive and finite"):
+            SchemeOptions(dt=dt)
 
 
 class TestSimulationState:
@@ -319,14 +296,6 @@ class TestAssembleImplicitW:
         assert sys.super[0] == pytest.approx(-mu * 0.1)
         assert sys.super[2] == pytest.approx(-mu * 1.0)
 
-    def test_jump_interface_coefficient_harmonic(self):
-        m = build_uniform_mesh(0.0, 1.0, 0.25)
-        opts = SchemeOptions(dt=0.01, interface_average_w="harmonic")
-        a = np.array([0.1, 0.1, 1.0, 1.0])
-        sys = assemble_implicit_w(a, np.zeros(4), opts, m)
-        mu = opts.dt / 0.25**2
-        assert sys.super[1] == pytest.approx(-mu * 2.0 * 0.1 / 1.1)
-
     def test_dominance(self):
         rng = np.random.default_rng(5)
         m = build_uniform_mesh(0.0, 1.0, 0.02)
@@ -364,8 +333,7 @@ class TestSemidiscreteRhs:
         _, dv, _ = semidiscrete_rhs(s, np.ones(5), p, SchemeOptions(dt=0.01))
         assert np.allclose(dv, [0.0, -1.0, 1.0, 0.0, 0.0], atol=1e-14)
 
-    @pytest.mark.parametrize("average", [ARITHMETIC, HARMONIC])
-    def test_diffusion_conserves_totals(self, average):
+    def test_diffusion_conserves_totals(self):
         # flux form telescopes: with reactions off the width-weighted sums
         # of dv and dw vanish (24 cells of width 1e-6, 6 distinct linspace
         # widths)
@@ -373,7 +341,7 @@ class TestSemidiscreteRhs:
         rng = np.random.default_rng(17)
         s = SimulationState(m, 0.0, *rng.uniform(0.0, 1.0, (3, 24)))
         p = raw_params(d=0.0, r=0.0, D=0.3, c=0.0)
-        _, dv, dw = semidiscrete_rhs(s, rng.uniform(0.1, 2.0, 24), p, SchemeOptions(0.01, average))
+        _, dv, dw = semidiscrete_rhs(s, rng.uniform(0.1, 2.0, 24), p, SchemeOptions(0.01))
         assert abs(np.sum(dv * m.widths)) <= 1e-14 * np.sum(np.abs(dv * m.widths))
         assert abs(np.sum(dw * m.widths)) <= 1e-14 * np.sum(np.abs(dw * m.widths))
 
@@ -408,8 +376,7 @@ class TestBackwardEulerBuilder:
 
     @pytest.mark.parametrize("runs", [1, 3])
     @pytest.mark.parametrize("kind", ["uniform", "rounded", "micro"])
-    @pytest.mark.parametrize("average", [ARITHMETIC, HARMONIC])
-    def test_bands_equal_reference(self, average, kind, runs):
+    def test_bands_equal_reference(self, kind, runs):
         single = self.MESHES[kind]
         block = single.n_cells
         mesh = end_to_end(single, runs)
@@ -419,14 +386,14 @@ class TestBackwardEulerBuilder:
             builder = scheme._BackwardEuler(widths, block, gamma)
             # A first call fills the reused buffers, which the checked call
             # must overwrite completely.
-            builder.bands(builder.kappa(rng.uniform(0.05, 2.0, n), average, np.empty(n - 1)))
+            builder.bands(builder.kappa(rng.uniform(0.05, 2.0, n), np.empty(n - 1)))
             # coefficients over decades too, down to the tumour's smallest
             # nonzero 1 - u = 2**-53
             cells = 10.0 ** rng.uniform(np.log10(2.0**-53), 1.0, n)
-            kappa = interface_coefficients(cells, mesh, average)
+            kappa = interface_coefficients(cells, mesh)
             kappa[block - 1 :: block] = 0.0
             expected = backward_euler_bands(kappa, gamma, mesh)
-            got = builder.bands(builder.kappa(cells.copy(), average, np.empty(n - 1)))
+            got = builder.bands(builder.kappa(cells.copy(), np.empty(n - 1)))
             # bytes, so that signed zeros count
             for band, reference in zip(got, expected):
                 assert band.tobytes() == reference.tobytes(), gamma
@@ -448,8 +415,7 @@ class TestStepBitForBit:
 
     @pytest.mark.parametrize("runs", [1, 3])
     @pytest.mark.parametrize("kind", ["uniform", "rounded"])
-    @pytest.mark.parametrize("average", [ARITHMETIC, HARMONIC])
-    def test_two_steps_equal_reference(self, average, kind, runs):
+    def test_two_steps_equal_reference(self, kind, runs):
         mesh = TestBackwardEulerBuilder.MESHES[kind]
         n, params = mesh.n_cells, self.PARAMS[:runs]
         rng = np.random.default_rng(31)
@@ -460,7 +426,7 @@ class TestStepBitForBit:
         fields[1:, :, 1] = 0.0
         fields[0, :, 2] = 1.0
         A_cells = rng.uniform(0.01, 2.0, (runs, n))
-        opts = SchemeOptions(dt=0.01, interface_average_w=average)
+        opts = SchemeOptions(dt=0.01)
         state = SimulationState(mesh, 0.0, *(f[0] if runs == 1 else f for f in fields))
         stepper = scheme._Stepper(scheme._history(state, 3), mesh, A_cells, params, opts)
         assert stepper.march(2, (0.0, 0.01, 0.02)) == (2, None)
@@ -668,7 +634,7 @@ def stepper_cases(draw):
         st.builds(SingleJump, st.floats(0.01, 2.0), st.floats(0.01, 2.0), x_jump),
         st.builds(Sinusoidal, st.just(0.05), st.floats(0.05, 2.0), st.floats(1.0, 200.0)),
     ))
-    opts = SchemeOptions(dt=dt, interface_average_w=draw(st.sampled_from([ARITHMETIC, HARMONIC])))
+    opts = SchemeOptions(dt=dt)
     return state, profile, p, opts, draw(st.integers(2, 6))
 
 
@@ -702,9 +668,7 @@ def blocked_cases(draw):
     # breaks down, and blocks of 1 to 4 steps, so that runs span blocks and
     # break down at any place in a block
     state, profile, p, opts, _ = draw(stepper_cases())
-    opts = SchemeOptions(
-        dt=opts.dt * draw(st.floats(1.0, 10.0)), interface_average_w=opts.interface_average_w
-    )
+    opts = SchemeOptions(dt=opts.dt * draw(st.floats(1.0, 10.0)))
     return state, profile, p, opts, draw(st.integers(1, 12)), draw(st.integers(1, 4))
 
 
@@ -883,7 +847,7 @@ def batch_cases(draw):
             D=D,
             c=draw(st.floats(0.1, min(100.0, 2.0 / dt))),
         ))
-    opts = SchemeOptions(dt=dt, interface_average_w=draw(st.sampled_from([ARITHMETIC, HARMONIC])))
+    opts = SchemeOptions(dt=dt)
     return states, profiles, params, opts, draw(st.integers(1, 6))
 
 
