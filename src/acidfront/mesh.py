@@ -82,8 +82,8 @@ def build_uniform_mesh(xmin: float, xmax: float, dx: float) -> Mesh:
     if not dx > 0.0:
         raise ConfigurationError(f"cell width must be positive, got {dx!r}")
     ratio = (xmax - xmin) / dx
-    if ratio == math.inf:
-        raise ConfigurationError(f"dx={dx!r} gives no finite cell count on [{xmin!r}, {xmax!r}]")
+    if not ratio < np.iinfo(np.intp).max:
+        raise ConfigurationError(f"(xmax - xmin)/dx = {ratio!r} is more than an array can index")
     n = round(ratio)
     if abs(ratio - n) > _COUNT_RTOL * max(1.0, ratio):
         raise ConfigurationError(

@@ -132,7 +132,7 @@ def apply_operator(kappa, q, mesh):
     return out
 
 
-def semidiscrete_rhs(s, A_cells, p, opts):
+def semidiscrete_rhs(s, A_cells, p):
     """Time derivatives (du, dv, dw) of the semi-discrete system."""
     du = reaction_u(s.u, s.w, p.d)
     kappa_v = interface_coefficients(1.0 - s.u, s.mesh)

@@ -47,20 +47,22 @@ class TestBuildUniformMesh:
             build_uniform_mesh(0.0, 1.0, -0.1)
 
     @pytest.mark.parametrize(
-        "xmin, xmax, match",
+        "xmin, xmax, dx, match",
         [
-            (-math.inf, 1.0, "xmin must be finite, got -inf"),
-            (0.0, math.inf, "xmax must be finite, got inf"),
-            (math.nan, 1.0, "xmin must be finite, got nan"),
-            (0.0, math.nan, "xmax must be finite, got nan"),
-            # finite bounds whose length overflows
-            (-1e308, 1e308, "no finite cell count"),
+            (-math.inf, 1.0, 0.1, "xmin must be finite, got -inf"),
+            (0.0, math.inf, 0.1, "xmax must be finite, got inf"),
+            (math.nan, 1.0, 0.1, "xmin must be finite, got nan"),
+            (0.0, math.nan, 0.1, "xmax must be finite, got nan"),
+            # finite bounds whose length overflows, and a count past an index
+            (-1e308, 1e308, 0.1, "= inf is more than an array can index"),
+            (0.0, 1.0, 1e-300, "is more than an array can index"),
         ],
     )
-    def test_non_finite_bounds_rejected(self, xmin, xmax, match):
-        # round() of an infinite cell count used to raise OverflowError
+    def test_non_finite_bound_or_count_rejected(self, xmin, xmax, dx, match):
+        # round() of an infinite cell count used to raise OverflowError, and
+        # np.linspace of a huge one ValueError
         with pytest.raises(ConfigurationError, match=match):
-            build_uniform_mesh(xmin, xmax, 0.1)
+            build_uniform_mesh(xmin, xmax, dx)
 
     def test_three_cells_is_the_minimum(self):
         assert build_uniform_mesh(0.0, 1.0, 1.0 / 3.0).n_cells == 3

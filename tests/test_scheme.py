@@ -310,7 +310,7 @@ class TestSemidiscreteRhs:
         m = build_uniform_mesh(0.0, 1.0, 0.005)
         n = m.n_cells
         s = SimulationState(m, 0.0, np.ones(n), np.zeros(n), np.zeros(n))
-        du, dv, dw = semidiscrete_rhs(s, np.ones(n), reference_params(), SchemeOptions(dt=0.01))
+        du, dv, dw = semidiscrete_rhs(s, np.ones(n), reference_params())
         assert np.allclose(du, 0.0, atol=1e-14)
         assert np.allclose(dv, 0.0, atol=1e-14)
         assert np.allclose(dw, 0.0, atol=1e-14)
@@ -319,7 +319,7 @@ class TestSemidiscreteRhs:
         m = build_uniform_mesh(0.0, 1.0, 0.005)
         n = m.n_cells
         s = SimulationState(m, 0.0, np.zeros(n), np.ones(n), np.ones(n))
-        du, dv, dw = semidiscrete_rhs(s, np.ones(n), reference_params(), SchemeOptions(dt=0.01))
+        du, dv, dw = semidiscrete_rhs(s, np.ones(n), reference_params())
         assert np.allclose(du, 0.0, atol=1e-14)
         assert np.allclose(dv, 0.0, atol=1e-14)
         assert np.allclose(dw, 0.0, atol=1e-14)
@@ -330,7 +330,7 @@ class TestSemidiscreteRhs:
             m, 0.0, np.zeros(5), np.array([1.0, 1.0, 0.0, 0.0, 0.0]), np.zeros(5)
         )
         p = raw_params(d=1.0, r=0.0, D=1.0, c=0.0)
-        _, dv, _ = semidiscrete_rhs(s, np.ones(5), p, SchemeOptions(dt=0.01))
+        _, dv, _ = semidiscrete_rhs(s, np.ones(5), p)
         assert np.allclose(dv, [0.0, -1.0, 1.0, 0.0, 0.0], atol=1e-14)
 
     def test_diffusion_conserves_totals(self):
@@ -341,7 +341,7 @@ class TestSemidiscreteRhs:
         rng = np.random.default_rng(17)
         s = SimulationState(m, 0.0, *rng.uniform(0.0, 1.0, (3, 24)))
         p = raw_params(d=0.0, r=0.0, D=0.3, c=0.0)
-        _, dv, dw = semidiscrete_rhs(s, rng.uniform(0.1, 2.0, 24), p, SchemeOptions(0.01))
+        _, dv, dw = semidiscrete_rhs(s, rng.uniform(0.1, 2.0, 24), p)
         assert abs(np.sum(dv * m.widths)) <= 1e-14 * np.sum(np.abs(dv * m.widths))
         assert abs(np.sum(dw * m.widths)) <= 1e-14 * np.sum(np.abs(dw * m.widths))
 
