@@ -57,6 +57,7 @@ class TestBuildUniformMesh:
             (-1e308, 1e308, 0.1, "= inf is more than an array can index"),
             (0.0, 1.0, 1e-300, "is more than an array can index"),
         ],
+        ids=["xmin-inf", "xmax-inf", "xmin-nan", "xmax-nan", "length-overflow", "count-overflow"],
     )
     def test_non_finite_bound_or_count_rejected(self, xmin, xmax, dx, match):
         # round() of an infinite cell count used to raise OverflowError, and
