@@ -79,8 +79,8 @@ def build_uniform_mesh(xmin: float, xmax: float, dx: float) -> Mesh:
             raise ConfigurationError(f"domain bound {name} must be finite, got {bound!r}")
     if not xmax > xmin:
         raise ConfigurationError(f"empty domain: xmin={xmin!r}, xmax={xmax!r}")
-    if not dx > 0.0:
-        raise ConfigurationError(f"cell width must be positive, got {dx!r}")
+    if not 0.0 < dx < math.inf:
+        raise ConfigurationError(f"cell width must be positive and finite, got {dx!r}")
     ratio = (xmax - xmin) / dx
     if not ratio < np.iinfo(np.intp).max:
         raise ConfigurationError(f"(xmax - xmin)/dx = {ratio!r} is more than an array can index")

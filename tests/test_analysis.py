@@ -58,6 +58,29 @@ class TestLevequeYeeStep:
         theta = leveque_yee_step(v, w, 0.005, 0.01)
         assert theta == pytest.approx(0.25, rel=1e-12)
 
+    def test_retreating_front(self):
+        v = front_profile(200)
+        shifted = np.roll(v, -1)
+        shifted[-1] = 0.0
+        theta = leveque_yee_step(v, shifted, 0.005, 0.01)
+        assert theta == pytest.approx(-0.5, rel=1e-12)
+
+    def test_one_estimate_per_run(self):
+        # (B, N) fields: row k moves k cells
+        v = np.stack([front_profile(200)] * 3)
+        shifted = np.stack([np.roll(row, k) for k, row in enumerate(v)])
+        for k in range(3):
+            shifted[k, :k] = 1.0
+        theta = leveque_yee_step(v, shifted, 0.005, 0.01)
+        assert theta.shape == (3,)
+        assert theta == pytest.approx([0.0, 0.5, 1.0], rel=1e-12, abs=1e-15)
+
+    def test_far_field_states_are_fixed(self):
+        # V_INVADED and V_INTACT are the model's constants, not arguments
+        v = front_profile(200)
+        with pytest.raises(TypeError):
+            leveque_yee_step(v, v, 0.005, 0.01, 1.0, 0.0)
+
     @given(scale=st.floats(min_value=0.1, max_value=10.0))
     def test_linear_in_increment(self, scale):
         rng = np.random.default_rng(0)

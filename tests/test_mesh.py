@@ -56,8 +56,14 @@ class TestBuildUniformMesh:
             # finite bounds whose length overflows, and a count past an index
             (-1e308, 1e308, 0.1, "= inf is more than an array can index"),
             (0.0, 1.0, 1e-300, "is more than an array can index"),
+            # a spacing of inf used to read as "at least 3 cells, got 0"
+            (0.0, 1.0, math.inf, "cell width must be positive and finite, got inf"),
+            (0.0, 1.0, math.nan, "cell width must be positive and finite, got nan"),
         ],
-        ids=["xmin-inf", "xmax-inf", "xmin-nan", "xmax-nan", "length-overflow", "count-overflow"],
+        ids=[
+            "xmin-inf", "xmax-inf", "xmin-nan", "xmax-nan", "length-overflow", "count-overflow",
+            "dx-inf", "dx-nan",
+        ],
     )
     def test_non_finite_bound_or_count_rejected(self, xmin, xmax, dx, match):
         # round() of an infinite cell count used to raise OverflowError, and

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import subprocess
 import sys
@@ -121,6 +122,19 @@ class TestSchemeOptions:
     def test_rejects_bad_dt(self, dt):
         with pytest.raises(ValueError, match="positive and finite"):
             SchemeOptions(dt=dt)
+
+    @pytest.mark.parametrize("dt", [5e-324, 0.01, 1.7976931348623157e308])
+    def test_accepts_positive_finite_dt(self, dt):
+        # from the smallest subnormal to the largest float
+        assert SchemeOptions(dt=dt).dt == dt
+
+    def test_dt_is_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(SchemeOptions)] == ["dt"]
+
+    def test_frozen(self):
+        opts = SchemeOptions(dt=0.01)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            opts.dt = 0.02
 
 
 class TestSimulationState:
@@ -400,6 +414,29 @@ class TestBackwardEulerBuilder:
             sub, _, sup = got
             assert not sub[block - 1 :: block].any() and not sup[block - 1 :: block].any()
             assert np.all(sub[np.arange(n - 1) % block != block - 1] < 0.0)
+
+
+    @pytest.mark.parametrize("kind", ["uniform", "rounded", "micro"])
+    def test_degenerate_cell_keeps_its_interfaces(self, kind):
+        # the tumour coefficient 1 - u is 0 in a fully invaded cell: the
+        # width-weighted arithmetic average leaves a cell next to it open
+        # (a harmonic mean would close it), and two such cells give 0, not 0/0
+        single = self.MESHES[kind]
+        block = single.n_cells
+        mesh = end_to_end(single, 3)
+        n = mesh.n_cells
+        rng = np.random.default_rng(37)
+        cells = 10.0 ** rng.uniform(np.log10(2.0**-53), 1.0, n)
+        cells[rng.random(n) < 0.3] = 0.0
+        left, right = cells[:-1].copy(), cells[1:].copy()
+        kappa = scheme._BackwardEuler(mesh.widths, block, 0.5).kappa(cells)
+        inner = np.arange(n - 1) % block != block - 1
+        assert not kappa[~inner].any()
+        lo, hi = np.minimum(left, right)[inner], np.maximum(left, right)[inner]
+        k = kappa[inner]
+        assert np.all((k > 0.0) == (hi > 0.0))
+        eps = np.finfo(float).eps
+        assert np.all(k >= lo * (1.0 - 4 * eps)) and np.all(k <= hi * (1.0 + 4 * eps))
 
 
 class TestStepBitForBit:
