@@ -240,16 +240,40 @@ def detect_gap(s: SimulationState) -> GapReport:
     return GapReport(width > 0.0, left, right, width, GAP_THRESHOLD)
 
 
+def _low_decile(x: np.ndarray) -> float:
+    """numpy's ``quantile(x, 0.1)`` of a non-empty 1-D float array without
+    NaNs, byte for byte: numpy's default (linear) method.
+
+    Partitions ``x`` in place at the two order statistics around the
+    virtual index 0.1*(n - 1) and interpolates between them with numpy's
+    formula.  Not numpy's own: in numpy 2.4 ``quantile``, ``percentile``,
+    ``median`` and ``unique`` all import ``numpy.ma``, which a run otherwise
+    never loads.
+    """
+    n = x.size
+    index = (n - 1) * 0.1
+    lo = math.floor(index)
+    hi = min(lo + 1, n - 1)
+    x.partition((lo, hi))
+    a, b = float(x[lo]), float(x[hi])
+    t = index - lo
+    return b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
+
+
 def classify_invasion(s: SimulationState, d: float) -> InvasionRegime:
     """Sort a front state into heterogeneous, hybrid, or homogeneous invasion.
 
     The healthy residual is sampled over invaded cells (v >= 0.95, falling
     back to the 0.5-crossing level for young fronts) that ever carried
-    tissue; a low quantile damps transition-zone values that are still
-    relaxing toward the equilibrium.  Heterogeneous means the residual
-    matches 1-d (possible only for d < 1); homogeneous means no residual
-    plus an open interstitial gap; anything else is the hybrid overlap
-    regime.  ``d`` must be finite and positive, as in ``ModelParameters``.
+    tissue.  It is numpy's default (linear) 10 % quantile of that sample,
+    which damps transition-zone values that are still relaxing toward the
+    equilibrium; ``_low_decile`` computes it from two order statistics,
+    since in numpy 2.4 ``quantile``, ``percentile``, ``median`` and
+    ``unique`` all import ``numpy.ma``.  Heterogeneous means the
+    residual matches 1-d (possible only for d < 1); homogeneous means no
+    residual plus an open interstitial gap; anything else is the hybrid
+    overlap regime.  ``d`` must be finite and positive, as in
+    ``ModelParameters``.
     """
     if not 0.0 < d < math.inf:
         raise ValueError(f"destructiveness d must be finite and positive, got {d!r}")
@@ -260,7 +284,7 @@ def classify_invasion(s: SimulationState, d: float) -> InvasionRegime:
     if not invaded.any():
         invaded = v >= 0.5
     sampled = invaded & (s.u > _SEEDED_FLOOR)
-    residual = float(np.quantile(s.u[sampled], 0.1)) if sampled.any() else 0.0
+    residual = _low_decile(s.u[sampled]) if sampled.any() else 0.0
     if d < 1.0 and abs(residual - (1.0 - d)) <= _RESIDUAL_TOL:
         return InvasionRegime.HETEROGENEOUS
     if residual < _RESIDUAL_TOL and detect_gap(s).present:

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from acidfront.analysis import (
     InvasionRegime,
     WaveSpeedRecorder,
     WaveSpeedSeries,
+    _low_decile,
     classify_invasion,
     detect_gap,
     effective_diffusivity,
@@ -224,6 +226,32 @@ class TestClassifyInvasion:
         s = self.make_state(residual=0.5, gap=False)
         assert classify_invasion(s, d=0.5) is InvasionRegime.HETEROGENEOUS
         assert not detect_gap(s).present
+
+    def test_state_left_unchanged(self):
+        # the residual's sample is partitioned in place, so it must be a copy
+        s = self.make_state(residual=0.5, gap=False)
+        u = s.u.copy()
+        sampled = (s.v >= 0.95) & (u > 0.0)
+        u[sampled] += np.linspace(0.04, -0.04, int(sampled.sum()))
+        s = synthetic_state(s.mesh, s.v, u, s.w)
+        assert classify_invasion(s, d=0.5) is InvasionRegime.HETEROGENEOUS
+        assert s.u.tobytes() == u.tobytes()
+
+
+class TestLowDecile:
+    # sizes 1, 11 and 21 put numpy's virtual index 0.1*(n - 1) on a whole
+    # number; 2 is the smallest size that interpolates
+    @given(
+        x=hnp.arrays(
+            np.float64,
+            st.sampled_from([1, 2, 11, 21]) | st.integers(min_value=1, max_value=600),
+            elements=st.floats(min_value=1e-6, max_value=2.0),
+        )
+    )
+    @example(x=np.resize([0.7, 0.2, 0.2, 1.3], 600))
+    def test_equals_numpy_quantile(self, x):
+        expected = np.quantile(x, 0.1)
+        assert np.float64(_low_decile(x.copy())).tobytes() == expected.tobytes()
 
 
 class TestHarmonicMeanPiecewise:

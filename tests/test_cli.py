@@ -357,6 +357,32 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "['scipy.linalg._flapack']\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "table1-d12.5", "--T", "0.5", "--out", "{out}"),
+            ("homogenize", "--rows", "3", "--out", "{out}"),
+            ("speed-table", "table1-d12.5", "--out", "{out}"),
+            ("convergence", "--levels", "1"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_command_imports_no_numpy_or_scipy_module(self, argv, tmp_path):
+        # np.quantile, np.percentile, np.median and np.unique import numpy.ma,
+        # which added about 1 MiB to a first simulate; only modules new after
+        # start-up count, so scipy's __init__ on Windows does not
+        code = (
+            "import sys, acidfront.cli\n"
+            "before = set(sys.modules)\n"
+            "status = acidfront.cli.main(sys.argv[1:])\n"
+            "print(sorted(m for m in set(sys.modules) - before if m.startswith(('numpy', 'scipy'))))\n"
+            "sys.exit(status)"
+        )
+        args = [arg.format(out=tmp_path) for arg in argv]
+        proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
     def test_warning_names_no_package_file(self, tmp_path):
         # the warning used to name scenarios.py:541 and print its source line
         proc = subprocess.run(
