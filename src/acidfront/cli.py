@@ -155,7 +155,7 @@ def _cmd_convergence(args) -> int:
 
 def _cmd_speed_table(args) -> int:
     with _out_directory(args.out):
-        rows = speed_table(args.presets)
+        rows = speed_table(args.presets, outdir=args.out)
     print(f"{'preset':<32} {'tail speed':>12} {'peak-to-peak':>13} {'2*sqrt(rD)':>11}")
     for row in rows:
         print(
@@ -163,15 +163,7 @@ def _cmd_speed_table(args) -> int:
             f"{row['tail_peak_to_peak']:>13.4f} {row['fkpp_bound']:>11.6f}"
         )
     if args.out is not None:
-        out = Path(args.out)
-        with open(out / "speeds.csv", "w") as fh:
-            fh.write("preset,tail_mean,tail_peak_to_peak,fkpp_bound\n")
-            for row in rows:
-                fh.write(
-                    f"{row['preset']},{row['tail_mean']!r},"
-                    f"{row['tail_peak_to_peak']!r},{row['fkpp_bound']!r}\n"
-                )
-        print(f"table written to {out / 'speeds.csv'}")
+        print(f"table written to {Path(args.out) / 'speeds.csv'}")
     return 0
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConfigurationError, ResolutionWarning
 
 # Relative tolerance for the spread of a mesh's cell widths, and for
-# accepting a cell count as integer in build_uniform_mesh.
+# accepting a cell count as integer in cell_count.
 _UNIFORM_RTOL = 1e-12
 _COUNT_RTOL = 1e-6
 
@@ -65,15 +65,11 @@ class Mesh:
         return float(self.widths[0])
 
 
-def build_uniform_mesh(xmin: float, xmax: float, dx: float) -> Mesh:
-    """Tile [xmin, xmax] with cells of width dx.
-
-    The spacing must divide the domain into an integer number (>= 3) of
-    cells, up to a small relative tolerance for float noise.  The
-    interfaces are ``np.linspace(xmin, xmax, N + 1)``; where the floats
-    near them are too coarse to space them evenly (cell widths spreading
-    by more than 1e-12 of the domain length), :class:`Mesh` rejects them.
-    """
+def cell_count(xmin: float, xmax: float, dx: float) -> int:
+    """The number N >= 3 of cells of width dx that tile the finite, non-empty
+    [xmin, xmax], up to a small relative tolerance for float noise.  A dx
+    that is not finite and positive, or a count that is not a whole number,
+    below 3 or past an array index, is a ConfigurationError."""
     for name, bound in (("xmin", xmin), ("xmax", xmax)):
         if not math.isfinite(bound):
             raise ConfigurationError(f"domain bound {name} must be finite, got {bound!r}")
@@ -95,7 +91,16 @@ def build_uniform_mesh(xmin: float, xmax: float, dx: float) -> Mesh:
             f"mesh needs at least 3 cells, got {n} from dx={dx!r} "
             f"on [{xmin!r}, {xmax!r}]"
         )
-    interfaces = np.linspace(xmin, xmax, n + 1)
+    return n
+
+
+def build_uniform_mesh(xmin: float, xmax: float, dx: float) -> Mesh:
+    """Tile [xmin, xmax] with the ``cell_count(xmin, xmax, dx)`` = N cells
+    of width dx.  The interfaces are ``np.linspace(xmin, xmax, N + 1)``;
+    where the floats near them are too coarse to space them evenly (cell
+    widths spreading by more than 1e-12 of the domain length),
+    :class:`Mesh` rejects them."""
+    interfaces = np.linspace(xmin, xmax, cell_count(xmin, xmax, dx) + 1)
     widths = np.diff(interfaces)
     centers = 0.5 * (interfaces[:-1] + interfaces[1:])
     for array in (interfaces, centers, widths):

@@ -18,6 +18,7 @@ and summaries are flat key=value text.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -49,6 +50,7 @@ from .mesh import (
     SingleJump,
     aliasing_multiple,
     build_uniform_mesh,
+    cell_count,
     project_cell_averages,
 )
 from .scheme import (
@@ -66,6 +68,9 @@ RIEMANN = "riemann"
 PIECEWISE_LINEAR = "piecewise_linear"
 
 _FLOAT_FMT = "%.17g"
+# Rows per ``%`` call in _write_csv: 256 formatted a 20 000-row snapshot a
+# few per cent faster than 64, but raised a preset run's peak RSS by 0.3 MiB.
+_ROWS_PER_WRITE = 64
 
 
 def _off_grid(t: float, dt: float) -> bool:
@@ -99,23 +104,13 @@ class ScenarioConfig:
                 f"unknown initial profile kind {self.initial!r} "
                 f"(choose {RIEMANN!r} or {PIECEWISE_LINEAR!r})"
             )
-        for name in ("xmin", "xmax", "dx", "dt", "T"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not self.xmax > self.xmin:
-            raise ConfigurationError(
-                f"degenerate domain [{self.xmin!r}, {self.xmax!r}]"
-            )
-        if not self.dx > 0.0 or not self.dt > 0.0:
-            raise ConfigurationError(
-                f"grid steps must be positive, got dx={self.dx!r}, dt={self.dt!r}"
-            )
-        if not self.T > 0.0:
-            raise ConfigurationError(f"final time must be positive, got {self.T!r}")
-        span = self.xmax - self.xmin
-        for name, count in (("T/dt", self.T / self.dt), ("(xmax - xmin)/dx", span / self.dx)):
-            if not count < np.iinfo(np.intp).max:
-                raise ConfigurationError(f"{name} = {count!r} is more than an array can index")
+        cell_count(self.xmin, self.xmax, self.dx)
+        if not 0.0 < self.dt < math.inf:
+            raise ConfigurationError(f"time step must be positive and finite, got dt={self.dt!r}")
+        if not 0.0 < self.T < math.inf:
+            raise ConfigurationError(f"final time must be positive and finite, got T={self.T!r}")
+        if not self.T / self.dt < np.iinfo(np.intp).max:
+            raise ConfigurationError(f"T/dt = {self.T / self.dt!r} is more than an array can index")
         if step_count(0.0, self.T, self.dt) == 0:
             raise ConfigurationError(
                 f"final time {self.T!r} is shorter than one step dt={self.dt!r}"
@@ -481,11 +476,14 @@ class RunSummary:
 
 def _write_csv(path, header: str, formats, columns):
     """Write the equal-length ``columns`` as CSV rows under ``header``, each
-    value formatted by its column's entry of ``formats``."""
+    value formatted by its column's entry of ``formats``: one ``%`` and one
+    write per _ROWS_PER_WRITE rows, which holds one chunk's values at once."""
     row = ",".join(formats) + "\n"
+    rows = zip(*columns)
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        fh.writelines(row % values for values in zip(*columns))
+        while chunk := tuple(itertools.chain.from_iterable(itertools.islice(rows, _ROWS_PER_WRITE))):
+            fh.write((row * (len(chunk) // len(formats))) % chunk)
 
 
 class SnapshotWriter:
@@ -680,41 +678,40 @@ def run_homogenization_suite(
     for name, tol in (("tol_gap", tol_gap), ("tol_osc", tol_osc)):
         if not 0.0 <= tol < math.inf:
             raise ConfigurationError(f"{name} must be finite and >= 0, got {tol!r}")
-    families = ("pc", "sin")
     periodic = [
         _config(d, table3_profile(family, omega, a0, a1), PIECEWISE_LINEAR, 0.0, 1.0)
         for d, omega, a0, a1 in rows
-        for family in families
+        for family in ("pc", "sin")
     ]
     runs = run_configs(periodic + [effective_twin(cfg) for cfg in periodic])
-    verdicts = iter(
+    verdicts = [
         homogenization_compare(p.speed_series, e.speed_series, tol_gap=tol_gap, tol_osc=tol_osc)
         for p, e in zip(runs[: len(periodic)], runs[len(periodic) :])
-    )
-    results = []
-    for d, omega, a0, a1 in rows:
-        row = {"d": d, "omega": omega, "alpha0": a0, "alpha1": a1}
-        for family in families:
-            row[family] = next(verdicts)
-        results.append(row)
+    ]
+    pc, sin = verdicts[0::2], verdicts[1::2]  # each row's pc run comes before its sin run
+    results = [
+        {"d": d, "omega": omega, "alpha0": a0, "alpha1": a1, "pc": pc_verdict, "sin": sin_verdict}
+        for (d, omega, a0, a1), pc_verdict, sin_verdict in zip(rows, pc, sin)
+    ]
 
     if outdir is not None:
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        with open(outdir / "homogenization.csv", "w") as fh:
-            fh.write(
-                "d,omega,alpha0,alpha1,piecewise_constant,sinusoidal,"
-                "pc_relative_gap,pc_oscillation,sin_relative_gap,sin_oscillation\n"
-            )
-            for row in results:
-                pc, sin = row["pc"], row["sin"]
-                fh.write(
-                    f"{row['d']:g},{row['omega']:g},{row['alpha0']:g},{row['alpha1']:g},"
-                    f"{'HOM' if pc.homogenized else 'NO'},"
-                    f"{'HOM' if sin.homogenized else 'NO'},"
-                    f"{_FLOAT_FMT % pc.relative_gap},{_FLOAT_FMT % pc.oscillation_amplitude},"
-                    f"{_FLOAT_FMT % sin.relative_gap},{_FLOAT_FMT % sin.oscillation_amplitude}\n"
-                )
+        _write_csv(
+            outdir / "homogenization.csv",
+            "d,omega,alpha0,alpha1,piecewise_constant,sinusoidal,"
+            "pc_relative_gap,pc_oscillation,sin_relative_gap,sin_oscillation",
+            ("%g",) * 4 + ("%s",) * 2 + (_FLOAT_FMT,) * 4,
+            (
+                *zip(*rows),
+                ["HOM" if v.homogenized else "NO" for v in pc],
+                ["HOM" if v.homogenized else "NO" for v in sin],
+                [v.relative_gap for v in pc],
+                [v.oscillation_amplitude for v in pc],
+                [v.relative_gap for v in sin],
+                [v.oscillation_amplitude for v in sin],
+            ),
+        )
     return results
 
 
@@ -786,21 +783,23 @@ def observed_order(rows) -> float:
     return float(np.polyfit(dxs, errs, 1)[0])
 
 
-def speed_table(names) -> list[dict]:
+def speed_table(names, outdir=None) -> list[dict]:
     """Tail speed statistics for a batch of presets; presets sharing the
-    mesh, dt, T and D march together.  Raises ConfigurationError, before any
-    run, for a preset named twice."""
+    mesh, dt, T and D march together.  Also writes ``speeds.csv`` when
+    ``outdir`` is given.  Raises ConfigurationError, before any run, for a
+    preset named twice."""
     _reject_repeats(names, "preset")
     cfgs = [dataclasses.replace(preset(name), wavespeed=True) for name in names]
+    keys = ("preset", "tail_mean", "tail_peak_to_peak", "fkpp_bound")
     rows = []
     for name, cfg, result in zip(names, cfgs, run_configs(cfgs)):
         mean, ptp = tail_speed(result.speed_series)
-        rows.append(
-            {
-                "preset": name,
-                "tail_mean": mean,
-                "tail_peak_to_peak": ptp,
-                "fkpp_bound": fkpp_minimal_speed(cfg.params.r, cfg.params.D),
-            }
-        )
+        bound = fkpp_minimal_speed(cfg.params.r, cfg.params.D)
+        rows.append(dict(zip(keys, (name, mean, ptp, bound))))
+
+    if outdir is not None:
+        outdir = Path(outdir)
+        outdir.mkdir(parents=True, exist_ok=True)
+        columns = [[row[key] for row in rows] for key in keys]
+        _write_csv(outdir / "speeds.csv", ",".join(keys), ("%s",) + ("%r",) * 3, columns)
     return rows

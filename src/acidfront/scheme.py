@@ -345,10 +345,11 @@ def solve_tridiagonal(sys: TridiagonalSystem) -> np.ndarray:
     return x
 
 
-def _factor_acid(A_cells, opts: SchemeOptions, widths: np.ndarray, block: int):
-    """LU factors (LAPACK gttrf) of the acid matrix I - dt*L_A: gttrs's arguments before b."""
+def _factor_acid(A_cells: np.ndarray, opts: SchemeOptions, widths: np.ndarray, block: int):
+    """LU factors (LAPACK gttrf) of the acid matrix I - dt*L_A: gttrs's
+    arguments before b.  Overwrites the float array ``A_cells``."""
     system = _BackwardEuler(widths, block, opts.dt)
-    bands = system.bands(system.kappa(np.array(A_cells, dtype=float)))
+    bands = system.bands(system.kappa(A_cells))
     *factors, info = dgttrf(*bands, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
     if info:
         raise InstabilityError(f"singular acid matrix (LAPACK gttrf info={info})")
@@ -367,19 +368,23 @@ class _Stepper:
     """A march of runs on ``mesh`` laid end to end, with one parameter set
     and one row of A_cells each: what it holds fixed (the kinetics, the acid
     LU factors and the tumour system) and the ``history`` block it steps in,
-    whose row 0 (see ``_history``) is the only copy of the fields it starts from."""
+    whose row 0 (see ``_history``) is the only copy of the fields it starts from.
+    It empties the list ``A_cells`` into the one copy of A that it factors."""
 
-    def __init__(self, history: np.ndarray, mesh: Mesh, A_cells, params, opts: SchemeOptions):
+    def __init__(self, history: np.ndarray, mesh: Mesh, A_cells: list, params, opts: SchemeOptions):
         block, runs = mesh.n_cells, history.shape[-1] // mesh.n_cells
-        A_cells = np.ravel(np.asarray(A_cells, dtype=float))
-        if len(params) != runs or A_cells.size != history.shape[-1]:
+        A = np.concatenate(A_cells, axis=None, dtype=float)
+        A_cells.clear()
+        if len(params) != runs or A.size != history.shape[-1]:
             raise ValueError(
                 f"a state of {runs} run(s) needs one parameter set and one diffusivity "
-                f"row per run, got {len(params)} and {A_cells.size / block:g} rows"
+                f"row per run, got {len(params)} and {A.size / block:g} rows"
             )
         if any(q.D != params[0].D for q in params):
             raise ValueError("the runs of a batch must share the tumour diffusivity D")
         widths = np.tile(mesh.widths, runs) if runs > 1 else mesh.widths
+        self._acid_lu = _factor_acid(A, opts, widths, block)
+        del A  # before the buffers below are allocated
         self._dt = opts.dt
         # Rows d, r and c: one column for one run, each run's values over its
         # block for a batch.
@@ -387,7 +392,6 @@ class _Stepper:
         if runs > 1:
             kinetics = kinetics.repeat(block, axis=1)
         self._rates = kinetics[:2]
-        self._acid_lu = _factor_acid(A_cells, opts, widths, block)
         self._tumour = _BackwardEuler(widths, block, params[0].D * opts.dt)
         # Work rows d*w, r*v and c (see _step): [d*w, r*v] and [r*v, c] are
         # each the operand or result of one call.
@@ -490,7 +494,7 @@ def step_imex(
     For a batch state, ``A_cells`` has the state's (B, N) shape and ``p``
     holds one ModelParameters per run.
     """
-    stepper = _Stepper(_history(s, 2), s.mesh, A_cells, _per_run(p, ModelParameters), opts)
+    stepper = _Stepper(_history(s, 2), s.mesh, [A_cells], _per_run(p, ModelParameters), opts)
     _, reason = stepper.march(1, (s.time,))
     if reason is not None:
         raise InstabilityError(reason, time=s.time)
@@ -573,8 +577,7 @@ def run(
     history = _history(s0, size + 1)
     if n_steps:
         del s0  # row 0 holds its fields now; the march keeps no second copy
-    stepper = _Stepper(history, mesh, np.concatenate(A_cells), params, opts)
-    del A_cells  # only the acid factors needed the diffusivities
+    stepper = _Stepper(history, mesh, A_cells, params, opts)  # it empties A_cells
     if n_steps == 0:
         return s0
     fields = history.reshape((size + 1, 3) + shape)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from acidfront import mesh, scenarios
+from acidfront import cli, mesh, scenarios
 from acidfront.cli import main
 from acidfront.scenarios import parse_config, preset, render_config
 
@@ -150,6 +150,17 @@ class TestSimulate:
         assert err == "error: out of memory. Unable to allocate 14.9 GiB for an array\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_dx_that_does_not_tile_the_domain_rejected(self, tmp_path, capsys, monkeypatch):
+        # 2/0.3 cells: used to pass the scenario checks, make --out and fail
+        # only once run_scenario built the mesh
+        monkeypatch.setattr(cli, "run_scenario", lambda *args: pytest.fail("the scenario ran"))
+        rc = main(["simulate", "table1-d12.5", "--dx", "0.3", "--out", str(tmp_path / "X")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "does not evenly divide" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_infinite_destructiveness_rejected(self, tmp_path, capsys):
         # used to march and stop as a numerical instability (exit 2)
         rc = main(["simulate", "table1-d12.5", "--d", "inf", "--T", "0.1", "--out", str(tmp_path / "out")])
@@ -265,6 +276,33 @@ class TestHomogenize:
         assert table[0].startswith("d,omega,alpha0,alpha1")
         assert len(table) == 2
 
+    def test_table_bytes(self, tmp_path, monkeypatch):
+        # the row loop that wrote homogenization.csv before it went through
+        # scenarios._write_csv is the oracle
+        results = []
+
+        def recorded(*args, **kwargs):
+            results.extend(scenarios.run_homogenization_suite(*args, **kwargs))
+            return results
+
+        monkeypatch.setattr(cli, "run_homogenization_suite", recorded)
+        assert main(["homogenize", "--rows", "3,5", "--out", str(tmp_path)]) == 0
+        expected = (
+            "d,omega,alpha0,alpha1,piecewise_constant,sinusoidal,"
+            "pc_relative_gap,pc_oscillation,sin_relative_gap,sin_oscillation\n"
+        )
+        for row in results:
+            pc, sin = row["pc"], row["sin"]
+            expected += (
+                f"{row['d']:g},{row['omega']:g},{row['alpha0']:g},{row['alpha1']:g},"
+                f"{'HOM' if pc.homogenized else 'NO'},"
+                f"{'HOM' if sin.homogenized else 'NO'},"
+                f"{'%.17g' % pc.relative_gap},{'%.17g' % pc.oscillation_amplitude},"
+                f"{'%.17g' % sin.relative_gap},{'%.17g' % sin.oscillation_amplitude}\n"
+            )
+        assert len(results) == 2
+        assert (tmp_path / "homogenization.csv").read_bytes() == expected.encode()
+
 
 class TestConvergence:
     def test_runs_and_reports_order(self, capsys):
@@ -291,6 +329,27 @@ class TestSpeedTable:
         assert main(["speed-table", *names, "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "speeds.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in lines[1:]] == names
+
+    def test_table_bytes(self, tmp_path, monkeypatch):
+        # the row loop that wrote speeds.csv in the command line before it
+        # went through scenarios._write_csv is the oracle
+        rows = []
+
+        def recorded(*args, **kwargs):
+            rows.extend(scenarios.speed_table(*args, **kwargs))
+            return rows
+
+        monkeypatch.setattr(cli, "speed_table", recorded)
+        names = ["jump-increasing-d0.5", "table1-d12.5"]
+        assert main(["speed-table", *names, "--out", str(tmp_path)]) == 0
+        expected = "preset,tail_mean,tail_peak_to_peak,fkpp_bound\n"
+        for row in rows:
+            expected += (
+                f"{row['preset']},{row['tail_mean']!r},"
+                f"{row['tail_peak_to_peak']!r},{row['fkpp_bound']!r}\n"
+            )
+        assert [row["preset"] for row in rows] == names
+        assert (tmp_path / "speeds.csv").read_bytes() == expected.encode()
 
     def test_repeated_preset_rejected(self, capsys, no_run):
         # used to run the preset twice and list it twice

@@ -465,7 +465,7 @@ class TestStepBitForBit:
         A_cells = rng.uniform(0.01, 2.0, (runs, n))
         opts = SchemeOptions(dt=0.01)
         state = SimulationState(mesh, 0.0, *(f[0] if runs == 1 else f for f in fields))
-        stepper = scheme._Stepper(scheme._history(state, 3), mesh, A_cells, params, opts)
+        stepper = scheme._Stepper(scheme._history(state, 3), mesh, [A_cells], params, opts)
         assert stepper.march(2, (0.0, 0.01, 0.02)) == (2, None)
         first = imex_step(fields.reshape(3, -1), A_cells, params, opts, mesh)
         second = imex_step(first, A_cells, params, opts, mesh)
