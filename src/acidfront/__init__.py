@@ -12,7 +12,6 @@ from .analysis import (
     classify_invasion,
     detect_gap,
     effective_diffusivity,
-    harmonic_mean_piecewise,
     homogenization_compare,
     leveque_yee_step,
     tail_speed,

@@ -39,12 +39,12 @@ BOUNDARY_MARGIN = 10
 # How close the healthy residual must come to 1 - d, or to 0.
 _RESIDUAL_TOL = 0.05
 
-# Verdict tolerances calibrated on the reference benchmark matrix: the
-# asymptotic-speed gap of the one marginal non-homogenized case measures
+# Verdict tolerances, fixed and calibrated on the reference benchmark matrix:
+# the asymptotic-speed gap of the one marginal non-homogenized case measures
 # 4.7% on the canonical mesh, so the gap tolerance sits at 4% (>= 15%
 # separation margin on both sides of every verdict).
-DEFAULT_HOMOGENIZATION_GAP_TOL = 0.04
-DEFAULT_HOMOGENIZATION_OSC_TOL = 0.10
+HOMOGENIZATION_GAP_TOL = 0.04
+HOMOGENIZATION_OSC_TOL = 0.10
 
 
 @dataclass(frozen=True)
@@ -292,23 +292,11 @@ def classify_invasion(s: SimulationState, d: float) -> InvasionRegime:
     return InvasionRegime.HYBRID
 
 
-def harmonic_mean_piecewise(alpha0: float, alpha1: float, beta: float) -> float:
-    """Harmonic mean of a two-valued periodic profile: alpha1 on the first
-    beta-fraction of each period, alpha0 on the rest."""
-    if not alpha0 > 0.0 or not alpha1 > 0.0:
-        raise ValueError(
-            f"diffusivities must be positive, got alpha0={alpha0!r}, alpha1={alpha1!r}"
-        )
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"duty fraction beta must be in (0, 1), got {beta!r}")
-    return alpha0 * alpha1 / (alpha0 * beta + (1.0 - beta) * alpha1)
-
-
 def effective_diffusivity(p: DiffusionProfile) -> float:
     """Constant replacement candidate for a periodic profile: its harmonic
     mean, in closed form for both periodic families."""
     if isinstance(p, PeriodicPiecewiseConstant):
-        return harmonic_mean_piecewise(p.alpha0, p.alpha1, p.beta)
+        return p.alpha0 * p.alpha1 / (p.alpha0 * p.beta + (1.0 - p.beta) * p.alpha1)
     if isinstance(p, Sinusoidal):
         # 1/mean(1/(m + a sin)) = sqrt(m^2 - a^2) = sqrt(alpha0 * alpha1).
         return math.sqrt(p.alpha0 * p.alpha1)
@@ -316,18 +304,15 @@ def effective_diffusivity(p: DiffusionProfile) -> float:
 
 
 def homogenization_compare(
-    periodic: WaveSpeedSeries,
-    effective: WaveSpeedSeries,
-    tol_gap: float = DEFAULT_HOMOGENIZATION_GAP_TOL,
-    tol_osc: float = DEFAULT_HOMOGENIZATION_OSC_TOL,
+    periodic: WaveSpeedSeries, effective: WaveSpeedSeries
 ) -> HomogenizationVerdict:
     """Decide from their speed series whether a periodic-diffusivity run and
     its constant effective-A twin share the asymptotic front speed.
 
-    Homogenized means the tail means agree within ``tol_gap`` (relative to
-    the effective run) and the periodic run's tail oscillation stays below
-    ``tol_osc``; persistent oscillation is the signature of a front feeling
-    the microstructure.
+    Homogenized means the tail means agree within HOMOGENIZATION_GAP_TOL
+    (relative to the effective run) and the periodic run's tail oscillation
+    stays within HOMOGENIZATION_OSC_TOL; persistent oscillation is the
+    signature of a front feeling the microstructure.
     """
     theta_p, osc_p = tail_speed(periodic)
     theta_e, _ = tail_speed(effective)
@@ -337,5 +322,5 @@ def homogenization_compare(
         theta_effective_tail=theta_e,
         relative_gap=relative_gap,
         oscillation_amplitude=osc_p,
-        homogenized=relative_gap <= tol_gap and osc_p <= tol_osc,
+        homogenized=relative_gap <= HOMOGENIZATION_GAP_TOL and osc_p <= HOMOGENIZATION_OSC_TOL,
     )

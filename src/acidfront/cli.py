@@ -4,7 +4,7 @@ Commands: ``simulate`` (one preset or config file), ``list-presets``,
 ``homogenize`` (the periodic-vs-effective benchmark matrix), ``convergence``
 (manufactured-solution order study), and ``speed-table`` (tail speeds for a
 preset batch).  Exit codes: 0 success, 1 configuration error or a run too large
-for memory, 2 numerical instability.
+for memory, 2 numerical instability or an argparse usage error.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import sys
 import warnings
 from pathlib import Path
 
-from .analysis import DEFAULT_HOMOGENIZATION_GAP_TOL, DEFAULT_HOMOGENIZATION_OSC_TOL
 from .errors import ConfigurationError, InstabilityError
 from .scenarios import (
     TABLE3_ROWS,
@@ -124,9 +123,7 @@ def _parse_rows(selector: str):
 def _cmd_homogenize(args) -> int:
     rows = _parse_rows(args.rows)
     with _out_directory(args.out):
-        results = run_homogenization_suite(
-            rows, outdir=args.out, tol_gap=args.tol_gap, tol_osc=args.tol_osc
-        )
+        results = run_homogenization_suite(rows, outdir=args.out)
     print(f"{'d':>6} {'omega':>6} {'alpha0':>7} {'alpha1':>7} {'p.wise const.':>14} {'sinusoidal':>11}")
     for row in results:
         pc = "HOM" if row["pc"].homogenized else "NO"
@@ -190,8 +187,6 @@ def _build_parser() -> argparse.ArgumentParser:
     hom = sub.add_parser("homogenize", help="periodic vs effective-diffusivity benchmark")
     hom.add_argument("--rows", default="all", help="'all' or comma-separated row numbers (1-based)")
     hom.add_argument("--out", default=None, help="directory for homogenization.csv")
-    hom.add_argument("--tol-gap", type=float, default=DEFAULT_HOMOGENIZATION_GAP_TOL)
-    hom.add_argument("--tol-osc", type=float, default=DEFAULT_HOMOGENIZATION_OSC_TOL)
     hom.set_defaults(func=_cmd_homogenize)
 
     conv = sub.add_parser("convergence", help="manufactured-solution order study")

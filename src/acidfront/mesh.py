@@ -111,16 +111,11 @@ def build_uniform_mesh(xmin: float, xmax: float, dx: float) -> Mesh:
 class DiffusionProfile:
     """Space-dependent acid diffusivity A(x) > 0.
 
-    Subclasses implement pointwise evaluation and exact per-cell integral
-    averaging.  ``period`` is the spatial period for the two oscillatory
-    families and None otherwise.
+    Subclasses implement exact per-cell integral averaging.  ``period`` is
+    the spatial period for the two oscillatory families and None otherwise.
     """
 
     period: float | None = None
-
-    def value(self, x):
-        """Pointwise A(x); accepts scalars or arrays."""
-        raise NotImplementedError
 
     def cell_averages(self, mesh: Mesh) -> np.ndarray:
         """Exact integral average of A over every cell of ``mesh``."""
@@ -136,9 +131,6 @@ class Constant(DiffusionProfile):
     def __post_init__(self):
         if not 0.0 < self.a < math.inf:
             raise ValueError(f"diffusivity must be finite and positive, got {self.a!r}")
-
-    def value(self, x):
-        return np.full_like(np.asarray(x, dtype=float), self.a)
 
     def cell_averages(self, mesh):
         return np.full(mesh.n_cells, self.a)
@@ -163,10 +155,6 @@ class SingleJump(DiffusionProfile):
             )
         if not math.isfinite(self.x_jump):
             raise ValueError(f"jump location must be finite, got {self.x_jump!r}")
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x < self.x_jump, self.a1, self.a2)
 
     def cell_averages(self, mesh):
         # Exact piecewise integration: split each cell at the jump.
@@ -204,11 +192,6 @@ class PeriodicPiecewiseConstant(DiffusionProfile):
     @property
     def period(self) -> float:
         return 1.0 / self.periods
-
-    def value(self, x):
-        phase = np.asarray(x, dtype=float) * self.periods
-        frac = phase - np.floor(phase)
-        return np.where(frac < self.beta, self.alpha1, self.alpha0)
 
     def _antiderivative(self, x):
         # Integral of A from 0 to x, via the unit-period primitive.
@@ -257,10 +240,6 @@ class Sinusoidal(DiffusionProfile):
     @property
     def _half_amplitude(self) -> float:
         return 0.5 * (self.alpha1 - self.alpha0)
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        return self._mean + self._half_amplitude * np.sin(self.omega * x)
 
     def cell_averages(self, mesh):
         # Exact: integral of sin via -cos(omega x)/omega.

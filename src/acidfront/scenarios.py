@@ -27,8 +27,6 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
-    DEFAULT_HOMOGENIZATION_GAP_TOL,
-    DEFAULT_HOMOGENIZATION_OSC_TOL,
     GapReport,
     PositivityRecorder,
     WaveSpeedRecorder,
@@ -99,12 +97,8 @@ class ScenarioConfig:
     classification: bool = True
 
     def __post_init__(self):
-        if self.initial not in (RIEMANN, PIECEWISE_LINEAR):
-            raise ConfigurationError(
-                f"unknown initial profile kind {self.initial!r} "
-                f"(choose {RIEMANN!r} or {PIECEWISE_LINEAR!r})"
-            )
         cell_count(self.xmin, self.xmax, self.dx)
+        _initial_edges(self.initial, self.xmin, self.xmax)
         if not 0.0 < self.dt < math.inf:
             raise ConfigurationError(f"time step must be positive and finite, got dt={self.dt!r}")
         if not 0.0 < self.T < math.inf:
@@ -142,6 +136,27 @@ class ScenarioConfig:
         return build_uniform_mesh(self.xmin, self.xmax, self.dx)
 
 
+def _initial_edges(kind: str, xmin: float, xmax: float) -> tuple[float, ...]:
+    """The tumour edge L/4 of a ``riemann`` initial profile on [xmin, xmax],
+    or the ends L/8 and 3L/8 of a ``piecewise_linear`` one's ramp, where
+    L = xmax.  An unknown kind, or an edge not strictly inside the domain,
+    is a ConfigurationError."""
+    if kind == RIEMANN:
+        edges = (0.25 * xmax,)
+    elif kind == PIECEWISE_LINEAR:
+        edges = (0.125 * xmax, 0.375 * xmax)
+    else:
+        raise ConfigurationError(
+            f"unknown initial profile kind {kind!r} (choose {RIEMANN!r} or {PIECEWISE_LINEAR!r})"
+        )
+    if not (xmin < edges[0] and edges[-1] < xmax):
+        raise ConfigurationError(
+            f"initial {kind} profile edges {edges!r} do not lie inside the domain "
+            f"[{xmin!r}, {xmax!r}]"
+        )
+    return edges
+
+
 def initial_state(kind: str, m: Mesh) -> SimulationState:
     """Initial fields on ``m``: a tumour core on the left, complementary
     healthy tissue (u = 1 - v), no acid.
@@ -151,27 +166,15 @@ def initial_state(kind: str, m: Mesh) -> SimulationState:
     L/8 and ramps linearly to zero at 3L/8 (gradual in-vivo development),
     where L is the right end of the mesh.
     """
-    L = m.xmax
     x = m.centers
+    edges = _initial_edges(kind, m.xmin, m.xmax)
     if kind == RIEMANN:
-        jump = 0.25 * L
-        if not m.xmin < jump < m.xmax:
-            raise ConfigurationError(
-                f"initial tumour edge at {jump!r} lies outside the mesh "
-                f"[{m.xmin!r}, {m.xmax!r}]"
-            )
+        (jump,) = edges
         v = np.where(x < jump, 1.0, 0.0)
-    elif kind == PIECEWISE_LINEAR:
-        x0, x1 = 0.125 * L, 0.375 * L
-        if not (m.xmin < x0 < x1 < m.xmax):
-            raise ConfigurationError(
-                f"initial ramp [{x0!r}, {x1!r}] does not fit inside the mesh "
-                f"[{m.xmin!r}, {m.xmax!r}]"
-            )
+    else:
+        x0, x1 = edges
         v = np.clip((x1 - x) / (x1 - x0), 0.0, 1.0)
         v = np.where(x <= x0, 1.0, v)
-    else:
-        raise ConfigurationError(f"unknown initial profile kind {kind!r}")
     return SimulationState(mesh=m, time=0.0, u=1.0 - v, v=v, w=np.zeros(m.n_cells))
 
 
@@ -657,27 +660,19 @@ def effective_twin(cfg: ScenarioConfig) -> ScenarioConfig:
     )
 
 
-def run_homogenization_suite(
-    rows,
-    outdir=None,
-    tol_gap: float = DEFAULT_HOMOGENIZATION_GAP_TOL,
-    tol_osc: float = DEFAULT_HOMOGENIZATION_OSC_TOL,
-):
+def run_homogenization_suite(rows, outdir=None):
     """Homogenization comparison for each (d, omega, alpha0, alpha1) row,
     run for both profile families.
 
     Every periodic run and its effective twin march as one batch.  Returns
     one dict per row with the two verdicts; also writes
     ``homogenization.csv`` when ``outdir`` is given.  Raises
-    ConfigurationError, before any run, for an empty row selection, a row
-    selected twice or a tolerance that is not finite and >= 0.
+    ConfigurationError, before any run, for an empty row selection or a row
+    selected twice.
     """
     if not rows:
         raise ConfigurationError("no homogenization row selected")
     _reject_repeats(rows, "homogenization row")
-    for name, tol in (("tol_gap", tol_gap), ("tol_osc", tol_osc)):
-        if not 0.0 <= tol < math.inf:
-            raise ConfigurationError(f"{name} must be finite and >= 0, got {tol!r}")
     periodic = [
         _config(d, table3_profile(family, omega, a0, a1), PIECEWISE_LINEAR, 0.0, 1.0)
         for d, omega, a0, a1 in rows
@@ -685,7 +680,7 @@ def run_homogenization_suite(
     ]
     runs = run_configs(periodic + [effective_twin(cfg) for cfg in periodic])
     verdicts = [
-        homogenization_compare(p.speed_series, e.speed_series, tol_gap=tol_gap, tol_osc=tol_osc)
+        homogenization_compare(p.speed_series, e.speed_series)
         for p, e in zip(runs[: len(periodic)], runs[len(periodic) :])
     ]
     pc, sin = verdicts[0::2], verdicts[1::2]  # each row's pc run comes before its sin run

@@ -3,13 +3,21 @@
 They are written for reading, not speed: the interface coefficients come
 from ``interface_diffusivity_arithmetic`` and the operator from
 ``diffusion_operator``, independently of the band builder the stepper uses,
-and ``harmonic_mean_quadrature`` checks the closed-form harmonic means.
+and ``harmonic_mean_quadrature`` checks the closed-form harmonic means,
+from the pointwise diffusivity of ``profile_value``.
 """
 
 import numpy as np
 
 from acidfront.core import reaction_u, reaction_v, reaction_w
-from acidfront.mesh import DiffusionProfile, Mesh
+from acidfront.mesh import (
+    Constant,
+    DiffusionProfile,
+    Mesh,
+    PeriodicPiecewiseConstant,
+    SingleJump,
+    Sinusoidal,
+)
 from acidfront.scheme import dgtsv, dgttrf, dgttrs
 
 
@@ -37,6 +45,26 @@ def diffusion_operator(kappa: np.ndarray, mesh: Mesh):
     return sub, diag, super_
 
 
+def profile_value(p: DiffusionProfile, x):
+    """Pointwise A(x) of a diffusivity profile; accepts scalars or arrays.
+
+    A single jump takes its right value at the jump itself (right-closed);
+    a square wave takes alpha1 on the first beta-fraction of each period."""
+    x = np.asarray(x, dtype=float)
+    if isinstance(p, Constant):
+        return np.full_like(x, p.a)
+    if isinstance(p, SingleJump):
+        return np.where(x < p.x_jump, p.a1, p.a2)
+    if isinstance(p, PeriodicPiecewiseConstant):
+        phase = x * p.periods
+        frac = phase - np.floor(phase)
+        return np.where(frac < p.beta, p.alpha1, p.alpha0)
+    if isinstance(p, Sinusoidal):
+        mean, half_amplitude = 0.5 * (p.alpha1 + p.alpha0), 0.5 * (p.alpha1 - p.alpha0)
+        return mean + half_amplitude * np.sin(p.omega * x)
+    raise TypeError(f"no pointwise values for {type(p).__name__}")
+
+
 def harmonic_mean_quadrature(p: DiffusionProfile, tol: float = 1e-10) -> float:
     """Harmonic mean of a periodic profile over one period, by composite
     midpoint quadrature of 1/A refined until two successive estimates agree
@@ -49,7 +77,7 @@ def harmonic_mean_quadrature(p: DiffusionProfile, tol: float = 1e-10) -> float:
 
     def midpoint(n: int) -> float:
         x = (np.arange(n) + 0.5) * (period / n)
-        return float(np.mean(1.0 / p.value(x))) * period
+        return float(np.mean(1.0 / profile_value(p, x))) * period
 
     n = 32
     estimate = midpoint(n)

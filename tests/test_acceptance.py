@@ -14,12 +14,13 @@ import pytest
 
 from acidfront.analysis import (
     detect_gap,
-    harmonic_mean_piecewise,
+    effective_diffusivity,
     leveque_yee_step,
     tail_speed,
 )
 from acidfront.core import ModelParameters, fkpp_minimal_speed
 from acidfront.mesh import (
+    PeriodicPiecewiseConstant,
     Sinusoidal,
     SingleJump,
     build_uniform_mesh,
@@ -163,7 +164,7 @@ def test_c07_harmonic_mean_oracles():
             a1 = rng.uniform(0.4, 1.6)
             beta = rng.uniform(0.1, 0.9)
             oracle = 1.0 / float(np.mean(np.where(y < beta, 1.0 / a1, 1.0 / a0)))
-            closed = harmonic_mean_piecewise(a0, a1, beta)
+            closed = effective_diffusivity(PeriodicPiecewiseConstant(a0, a1, beta, 1.0))
             assert abs(closed - oracle) <= 1e-6 * closed
         # sinusoidal quadrature against the analytic identity sqrt(a0*a1)
         for _ in range(20):

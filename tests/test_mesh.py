@@ -17,6 +17,8 @@ from acidfront.mesh import (
     project_cell_averages,
 )
 
+from oracles import profile_value
+
 
 class TestBuildUniformMesh:
     def test_unit_interval_reference_spacing(self):
@@ -153,32 +155,35 @@ class TestProfileValidation:
 
 
 class TestEvaluateProfile:
+    def test_constant(self):
+        assert np.array_equal(profile_value(Constant(0.3), [0.0, 0.5]), [0.3, 0.3])
+
     def test_sinusoidal_midline(self):
         p = Sinusoidal(0.4, 0.6, 50.0)
-        assert p.value(0.0) == pytest.approx(0.5)
-        assert p.value(2 * math.pi / 50.0) == pytest.approx(0.5)
+        assert profile_value(p, 0.0) == pytest.approx(0.5)
+        assert profile_value(p, 2 * math.pi / 50.0) == pytest.approx(0.5)
 
     def test_sinusoidal_peak(self):
         p = Sinusoidal(0.1, 1.0, 50.0)
         x_peak = (math.pi / 2.0) / 50.0
-        assert p.value(x_peak) == pytest.approx(1.0)
+        assert profile_value(p, x_peak) == pytest.approx(1.0)
 
     def test_single_jump_sides(self):
         p = SingleJump(0.1, 1.0, 0.625)
-        assert p.value(0.5) == pytest.approx(0.1)
-        assert p.value(0.7) == pytest.approx(1.0)
+        assert profile_value(p, 0.5) == pytest.approx(0.1)
+        assert profile_value(p, 0.7) == pytest.approx(1.0)
         # right-closed convention at the jump itself
-        assert p.value(0.625) == pytest.approx(1.0)
+        assert profile_value(p, 0.625) == pytest.approx(1.0)
 
     def test_periodic_piecewise_pattern(self):
         p = PeriodicPiecewiseConstant(alpha0=0.01, alpha1=1.0, beta=0.5, periods=50.0)
-        assert p.value(0.004) == pytest.approx(1.0)   # first half period
-        assert p.value(0.015) == pytest.approx(0.01)  # second half
-        assert p.value(0.024) == pytest.approx(1.0)   # next period
+        assert profile_value(p, 0.004) == pytest.approx(1.0)   # first half period
+        assert profile_value(p, 0.015) == pytest.approx(0.01)  # second half
+        assert profile_value(p, 0.024) == pytest.approx(1.0)   # next period
 
     def test_vectorized(self):
         p = Sinusoidal(0.4, 0.6, 50.0)
-        out = p.value(np.array([0.0, 0.1, 0.2]))
+        out = profile_value(p, np.array([0.0, 0.1, 0.2]))
         assert out.shape == (3,)
 
 
@@ -207,7 +212,7 @@ class TestProjectCellAverages:
         a = project_cell_averages(p, m)
         for i in (0, 7, 23, 49):
             lo, hi = m.interfaces[i], m.interfaces[i + 1]
-            ref, _ = scipy.integrate.quad(lambda x: float(p.value(x)), lo, hi)
+            ref, _ = scipy.integrate.quad(lambda x: float(profile_value(p, x)), lo, hi)
             assert a[i] == pytest.approx(ref / (hi - lo), rel=1e-10)
 
     def test_periodic_piecewise_matches_riemann_oracle(self):
@@ -218,7 +223,7 @@ class TestProjectCellAverages:
         for i in (0, 13, 37):
             x = np.linspace(m.interfaces[i], m.interfaces[i + 1], n, endpoint=False)
             x += 0.5 * (x[1] - x[0])
-            assert a[i] == pytest.approx(float(p.value(x).mean()), rel=2e-5)
+            assert a[i] == pytest.approx(float(profile_value(p, x).mean()), rel=2e-5)
 
     def test_full_period_cells_average_to_mean(self):
         # each cell spans exactly one period: averages hit the midline
@@ -236,7 +241,7 @@ class TestProjectCellAverages:
             m = build_uniform_mesh(0.0, 1.0, dx)
             i = int(np.searchsorted(m.interfaces, x_star) - 1)
             a = project_cell_averages(p, m)
-            errors.append(abs(a[i] - float(p.value(x_star))))
+            errors.append(abs(a[i] - float(profile_value(p, x_star))))
         assert errors[-1] < errors[0]
         assert errors[-1] < 5e-3
 

@@ -32,6 +32,13 @@ from acidfront.scenarios import (
 )
 
 
+def far_text(text):
+    """Config text moved from [0, 1] to [2, 3]."""
+    moved = text.replace("\nxmin=0.0\n", "\nxmin=2.0\n").replace("\nxmax=1.0\n", "\nxmax=3.0\n")
+    assert moved.count("=2.0\n") == moved.count("=3.0\n") == 1
+    return moved
+
+
 def small_config(**overrides):
     base = dict(
         params=ModelParameters(d=12.5, r=1.0, D=4e-5, c=70.0),
@@ -121,6 +128,13 @@ class TestScenarioConfigValidation:
         # used to be accepted here and rejected only once the run built its mesh
         with pytest.raises(ConfigurationError, match="does not evenly divide"):
             small_config(dx=0.3)
+
+    @pytest.mark.parametrize("initial", [RIEMANN, PIECEWISE_LINEAR])
+    def test_initial_profile_must_fit_the_domain(self, initial):
+        # the edge L/4 = 0.75 and the ramp [0.375, 1.125] miss [2, 3]: used
+        # to be accepted here and rejected only once the run built its mesh
+        with pytest.raises(ConfigurationError, match="inside the domain"):
+            small_config(initial=initial, xmin=2.0, xmax=3.0)
 
 
 class TestPresets:
@@ -294,6 +308,13 @@ class TestConfigFormat:
     def test_malformed_line_rejected(self):
         with pytest.raises(ConfigurationError):
             parse_config("just words\n")
+
+    @pytest.mark.parametrize("initial", [RIEMANN, PIECEWISE_LINEAR])
+    def test_initial_profile_outside_the_domain_rejected(self, initial):
+        # used to round-trip, and to fail only once the run built its mesh
+        text = far_text(render_config(small_config(initial=initial)))
+        with pytest.raises(ConfigurationError, match="inside the domain"):
+            parse_config(text)
 
     def test_unknown_profile_kind_rejected(self):
         text = render_config(small_config()).replace("profile=constant", "profile=fractal")
@@ -668,17 +689,6 @@ class TestRegimeExpectations:
         monkeypatch.setattr(scenarios, "run_configs", None)  # no run may start
         with pytest.raises(ConfigurationError, match="no homogenization row"):
             scenarios.run_homogenization_suite(())
-
-    @pytest.mark.parametrize(
-        "tols", [{"tol_gap": float("nan")}, {"tol_gap": float("inf")}, {"tol_osc": -1.0}]
-    )
-    def test_homogenization_tolerances_must_be_finite_and_nonnegative(self, monkeypatch, tols):
-        # used to run and report NO for every family
-        from acidfront import scenarios
-
-        monkeypatch.setattr(scenarios, "run_configs", None)  # no run may start
-        with pytest.raises(ConfigurationError, match="finite and >= 0"):
-            scenarios.run_homogenization_suite(scenarios.TABLE3_ROWS[4:5], **tols)
 
     # Qualitative single-jump outcomes: the gap needs a much larger d when
     # the acid enters the slow-diffusion region first, and is wide open for
