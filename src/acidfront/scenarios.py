@@ -2,9 +2,9 @@
 
 A scenario bundles model parameters, a diffusivity profile, the initial
 profile kind, and a finite space-time grid whose final time and snapshot
-times are whole numbers of steps dt (the final time at least one).  Its
-wavespeed, gap and classification switches turn diagnostics on or off; the
-thresholds of those are fixed constants of ``analysis``.
+times are whole numbers of steps dt (the final time at least one).  Every
+run records the front speed, the gap and the classification; the thresholds
+of those are fixed constants of ``analysis``.
 
 The preset catalog reproduces the reference experiments: the
 homogeneous-diffusivity baseline (four destructiveness regimes), single-jump
@@ -92,9 +92,6 @@ class ScenarioConfig:
     dt: float
     T: float
     snapshots: tuple[float, ...] = ()
-    wavespeed: bool = True
-    gap: bool = True
-    classification: bool = True
 
     def __post_init__(self):
         cell_count(self.xmin, self.xmax, self.dx)
@@ -328,12 +325,6 @@ def _parse_float(key: str, raw: str) -> float:
         raise ConfigurationError(f"key {key!r}: {raw!r} is not a number") from None
 
 
-def _parse_bool(key: str, raw: str) -> bool:
-    if raw not in ("true", "false"):
-        raise ConfigurationError(f"key {key!r}: expected true or false, got {raw!r}")
-    return raw == "true"
-
-
 def _parse_floats(key: str, raw: str) -> tuple[float, ...]:
     items = raw.split(",") if raw else []
     if "" in items:
@@ -344,7 +335,6 @@ def _parse_floats(key: str, raw: str) -> tuple[float, ...]:
 # How a value of each field annotation is written and read back.
 _FORMATS = {
     "float": (repr, _parse_float),
-    "bool": (lambda value: str(value).lower(), _parse_bool),
     "str": (str, lambda key, raw: raw),
     "tuple[float, ...]": (lambda values: ",".join(map(repr, values)), _parse_floats),
 }
@@ -425,7 +415,7 @@ class RunResult:
 
     config: ScenarioConfig
     final_state: SimulationState
-    speed_series: WaveSpeedSeries | None
+    speed_series: WaveSpeedSeries
     min_u: float
     min_v: float
     min_w: float
@@ -439,9 +429,9 @@ class RunSummary:
     """Deterministically serializable digest of a finished run."""
 
     classification: str | None
-    gap: GapReport | None
-    tail_mean: float | None
-    tail_peak_to_peak: float | None
+    gap: GapReport
+    tail_mean: float
+    tail_peak_to_peak: float
     steps: int
     wall_time_s: float
     warnings: tuple[str, ...]
@@ -456,18 +446,13 @@ class RunSummary:
                 return _FLOAT_FMT % value
             return str(value)
 
-        lines = [f"classification={fmt(self.classification)}"]
-        if self.gap is None:
-            lines.append("gap_present=none")
-        else:
-            lines += [
-                f"gap_present={fmt(self.gap.present)}",
-                f"gap_left={fmt(self.gap.left_edge)}",
-                f"gap_right={fmt(self.gap.right_edge)}",
-                f"gap_width={fmt(self.gap.width)}",
-                f"gap_threshold={fmt(self.gap.threshold)}",
-            ]
-        lines += [
+        lines = [
+            f"classification={fmt(self.classification)}",
+            f"gap_present={fmt(self.gap.present)}",
+            f"gap_left={fmt(self.gap.left_edge)}",
+            f"gap_right={fmt(self.gap.right_edge)}",
+            f"gap_width={fmt(self.gap.width)}",
+            f"gap_threshold={fmt(self.gap.threshold)}",
             f"tail_mean={fmt(self.tail_mean)}",
             f"tail_peak_to_peak={fmt(self.tail_peak_to_peak)}",
             f"steps={self.steps}",
@@ -527,9 +512,8 @@ def _run_warnings(cfg: ScenarioConfig, front_near_boundary) -> tuple[str, ...]:
 
 
 def _batch_key(cfg: ScenarioConfig):
-    """What the runs of one batch must share: mesh, dt, T and D, and whether
-    they track the front speed."""
-    return (cfg.xmin, cfg.xmax, cfg.dx, cfg.dt, cfg.T, cfg.params.D, cfg.wavespeed)
+    """What the runs of one batch must share: mesh, dt, T and D."""
+    return (cfg.xmin, cfg.xmax, cfg.dx, cfg.dt, cfg.T, cfg.params.D)
 
 
 def _run_batch(cfgs, extra_observers=(), mesh=None) -> list[RunResult]:
@@ -541,8 +525,7 @@ def _run_batch(cfgs, extra_observers=(), mesh=None) -> list[RunResult]:
     initial = [SimulationState.stack([initial_state(cfg.initial, mesh) for cfg in cfgs])]
     positivity = PositivityRecorder(initial=initial[0])
     steps = step_count(initial[0].time, first.T, first.dt)
-    recorder = WaveSpeedRecorder(mesh, first.dt) if first.wavespeed else None
-    observers = [*extra_observers, positivity] + ([recorder] if recorder else [])
+    recorder = WaveSpeedRecorder(mesh, first.dt)
 
     started = time.perf_counter()
     final = run(
@@ -551,7 +534,7 @@ def _run_batch(cfgs, extra_observers=(), mesh=None) -> list[RunResult]:
         [cfg.params for cfg in cfgs],
         SchemeOptions(dt=first.dt),
         first.T,
-        observers=observers,
+        observers=[*extra_observers, positivity, recorder],
     )
     elapsed = time.perf_counter() - started
 
@@ -559,12 +542,12 @@ def _run_batch(cfgs, extra_observers=(), mesh=None) -> list[RunResult]:
     min_u, min_v, min_w = (
         np.broadcast_to(m, runs) for m in (positivity.min_u, positivity.min_v, positivity.min_w)
     )
-    near = np.broadcast_to(recorder.front_near_boundary if recorder else False, runs)
+    near = np.broadcast_to(recorder.front_near_boundary, runs)
     return [
         RunResult(
             config=cfg,
             final_state=state,
-            speed_series=recorder.series(b) if recorder else None,
+            speed_series=recorder.series(b),
             min_u=float(min_u[b]),
             min_v=float(min_v[b]),
             min_w=float(min_w[b]),
@@ -583,8 +566,8 @@ def run_config(cfg: ScenarioConfig, extra_observers=()) -> RunResult:
 
 def run_configs(cfgs) -> list[RunResult]:
     """Execute scenarios in memory, in the order given.  Those sharing the
-    mesh, dt, T, D and speed tracking march together as one batch: one
-    block-diagonal system, one LAPACK call per solve for all of them."""
+    mesh, dt, T and D march together as one batch: one block-diagonal
+    system, one LAPACK call per solve for all of them."""
     groups: dict[tuple, list[int]] = {}
     for i, cfg in enumerate(cfgs):
         groups.setdefault(_batch_key(cfg), []).append(i)
@@ -598,21 +581,16 @@ def run_configs(cfgs) -> list[RunResult]:
 def summarize(result: RunResult) -> RunSummary:
     """Digest of a run.  A front that has left the domain cannot be
     classified: the classification is then none and a warning says why."""
-    cfg = result.config
     classification = None
     run_warnings = result.warnings
-    if cfg.classification:
-        try:
-            classification = str(classify_invasion(result.final_state, cfg.params.d))
-        except ValueError:
-            run_warnings += ("no tumour front left inside the domain; not classified",)
-    gap = detect_gap(result.final_state) if cfg.gap else None
-    tail_mean = tail_ptp = None
-    if result.speed_series is not None and len(result.speed_series) > 0:
-        tail_mean, tail_ptp = tail_speed(result.speed_series)
+    try:
+        classification = str(classify_invasion(result.final_state, result.config.params.d))
+    except ValueError:
+        run_warnings += ("no tumour front left inside the domain; not classified",)
+    tail_mean, tail_ptp = tail_speed(result.speed_series)
     return RunSummary(
         classification=classification,
-        gap=gap,
+        gap=detect_gap(result.final_state),
         tail_mean=tail_mean,
         tail_peak_to_peak=tail_ptp,
         steps=result.steps,
@@ -631,11 +609,10 @@ def run_scenario(cfg: ScenarioConfig, outdir) -> RunSummary:
     result = _run_batch([cfg], (writer,), mesh)[0]
 
     series = result.speed_series
-    if series is not None:
-        _write_csv(
-            outdir / "wavespeed.csv", "step,time,theta", ("%d", _FLOAT_FMT, _FLOAT_FMT),
-            (range(1, len(series) + 1), series.times, series.thetas),
-        )
+    _write_csv(
+        outdir / "wavespeed.csv", "step,time,theta", ("%d", _FLOAT_FMT, _FLOAT_FMT),
+        (range(1, len(series) + 1), series.times, series.thetas),
+    )
 
     summary = summarize(result)
     (outdir / "summary.txt").write_text(summary.render())
@@ -655,9 +632,7 @@ def effective_twin(cfg: ScenarioConfig) -> ScenarioConfig:
     """The scenario with its periodic diffusivity replaced by the constant
     effective one (its harmonic mean); raises ValueError for an aperiodic
     profile."""
-    return dataclasses.replace(
-        cfg, profile=Constant(effective_diffusivity(cfg.profile)), wavespeed=True
-    )
+    return dataclasses.replace(cfg, profile=Constant(effective_diffusivity(cfg.profile)))
 
 
 def run_homogenization_suite(rows, outdir=None):
@@ -784,7 +759,7 @@ def speed_table(names, outdir=None) -> list[dict]:
     ``outdir`` is given.  Raises ConfigurationError, before any run, for a
     preset named twice."""
     _reject_repeats(names, "preset")
-    cfgs = [dataclasses.replace(preset(name), wavespeed=True) for name in names]
+    cfgs = [preset(name) for name in names]
     keys = ("preset", "tail_mean", "tail_peak_to_peak", "fkpp_bound")
     rows = []
     for name, cfg, result in zip(names, cfgs, run_configs(cfgs)):

@@ -23,11 +23,15 @@ def no_run(monkeypatch):
     monkeypatch.setattr(scenarios, "_run_batch", started)
 
 
+def readme_block(heading, language):
+    """The first ``language`` code block under the README's ``heading``."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.partition(f"\n## {heading}\n")[2].partition(f"```{language}\n")[2].partition("```")[0]
+
+
 def readme_commands():
     """The ``acidfront ...`` lines of the README's "Command line" block."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.partition("\n## Command line\n")[2].partition("```sh\n")[2].partition("```")[0]
-    return [line for line in block.splitlines() if line.startswith("acidfront ")]
+    return [line for line in readme_block("Command line", "sh").splitlines() if line.startswith("acidfront ")]
 
 
 def write_small_config(path, **overrides):
@@ -96,6 +100,38 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    def test_diagnostic_switches_of_an_older_file_rejected(self, tmp_path, capsys, no_run):
+        # a config.txt written while the front speed, gap and classification
+        # were switches names them; it is rejected before --out is made
+        cfg_path = tmp_path / "old.cfg"
+        write_small_config(cfg_path)
+        with open(cfg_path, "a") as fh:
+            fh.write("wavespeed=true\ngap=true\nclassification=true\n")
+        rc = main(["simulate", str(cfg_path), "--out", str(tmp_path / "X")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: unknown keys: ['classification', 'gap', 'wavespeed']\n"
+        assert not (tmp_path / "X").exists()
+
+    def test_config_txt_runs_again_as_an_input(self, tmp_path, capsys):
+        # config.txt is the configuration that ran: run from it, the same
+        # scenario writes the same files
+        a, b = tmp_path / "A", tmp_path / "B"
+        assert main(["simulate", "table1-d12.5", "--T", "0.5", "--out", str(a)]) == 0
+        assert main(["simulate", str(a / "config.txt"), "--out", str(b)]) == 0
+        names = sorted(p.name for p in a.iterdir())
+        assert names == sorted(p.name for p in b.iterdir())
+        assert names == ["config.txt", "snapshot_t0.5.csv", "snapshot_t0.csv", "summary.txt", "wavespeed.csv"]
+        for name in names:
+            if name != "summary.txt":
+                assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+        def timeless(path):
+            return [line for line in path.read_text().splitlines() if not line.startswith("wall_time_s=")]
+
+        assert timeless(a / "summary.txt") == timeless(b / "summary.txt")
+        assert len(timeless(a / "summary.txt")) == 10
 
     def test_initial_edge_outside_the_domain_rejected(self, tmp_path, capsys, no_run):
         # L/4 = 0.75 lies left of [2, 3]: the file used to parse, make --out
@@ -443,6 +479,15 @@ def test_readme_command_parses(line):
 def test_readme_lists_every_command():
     commands = {shlex.split(line)[1] for line in readme_commands()}
     assert commands == {"list-presets", "simulate", "homogenize", "convergence", "speed-table"}
+
+
+def test_readme_library_sketch_runs(capsys):
+    # the library API it uses cannot change without the README; a package
+    # warning it raises fails the test through the pytest filterwarnings
+    sketch = readme_block("Library sketch", "python")
+    exec(compile(sketch, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and len(lines[0].split()) == 3, lines
 
 
 class TestEntryPoint:

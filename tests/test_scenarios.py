@@ -200,9 +200,6 @@ dx=0.005
 dt=0.01
 T=20.0
 snapshots=0.0,20.0
-wavespeed=true
-gap=true
-classification=true
 """,
     "jump-increasing-d12.5": """\
 d=12.5
@@ -220,9 +217,6 @@ dx=0.005
 dt=0.01
 T=20.0
 snapshots=0.0,20.0
-wavespeed=true
-gap=true
-classification=true
 """,
     "table3-row01-pc": """\
 d=0.5
@@ -241,9 +235,6 @@ dx=0.005
 dt=0.01
 T=20.0
 snapshots=0.0,20.0
-wavespeed=true
-gap=true
-classification=true
 """,
     "periodic-w50-d20": """\
 d=20.0
@@ -261,9 +252,6 @@ dx=0.005
 dt=0.01
 T=20.0
 snapshots=0.0,20.0
-wavespeed=true
-gap=true
-classification=true
 """,
 }
 
@@ -295,9 +283,11 @@ class TestConfigFormat:
         with pytest.raises(ConfigurationError):
             parse_config(text)
 
-    def test_bad_boolean_rejected(self):
-        text = render_config(small_config()).replace("gap=true", "gap=yes")
-        with pytest.raises(ConfigurationError):
+    def test_diagnostic_switches_of_an_older_file_rejected(self):
+        # the front speed, gap and classification used to be switches; every
+        # run now records all three, and a file that names them is rejected
+        text = render_config(small_config()) + "wavespeed=true\ngap=true\nclassification=true\n"
+        with pytest.raises(ConfigurationError, match=r"unknown keys: \['classification', 'gap', 'wavespeed'\]"):
             parse_config(text)
 
     def test_duplicate_key_rejected(self):
@@ -504,20 +494,12 @@ class TestRunScenario:
             "steps", "wall_time_s", "warnings",
         ]
 
-    def test_observers_can_be_disabled(self, tmp_path):
-        cfg = small_config(wavespeed=False, gap=False, classification=False, snapshots=())
-        summary = run_scenario(cfg, tmp_path)
-        assert summary.classification is None
-        assert summary.gap is None
-        assert summary.tail_mean is None
-        assert not (tmp_path / "wavespeed.csv").exists()
-
     def test_stability_warning_recorded(self, tmp_path):
         # dt above 1/max(1, r, c) via a fast logistic (bounded overshoot,
         # the run itself survives the short horizon)
         cfg = small_config(
             params=ModelParameters(d=0.5, r=200.0, D=4e-5, c=70.0),
-            dt=0.011, T=0.055, snapshots=(), classification=False,
+            dt=0.011, T=0.055, snapshots=(),
         )
         with pytest.warns(Warning):
             result = run_config(cfg)
@@ -551,8 +533,8 @@ class TestRunScenario:
 class TestRunConfigs:
     @pytest.mark.filterwarnings("ignore::acidfront.errors.StabilityWarning")
     def test_batches_match_single_runs(self):
-        # two batches (dx 0.01 and 0.02), mixed initial kinds, profiles,
-        # parameters and observer flags, one run over the reaction limit
+        # two batches (dx 0.01 and 0.02), mixed initial kinds, profiles and
+        # parameters, one run over the reaction limit
         cfgs = [
             small_config(snapshots=()),
             small_config(dx=0.02, snapshots=()),
@@ -560,7 +542,7 @@ class TestRunConfigs:
                 params=ModelParameters(d=150.0, r=2.0, D=4e-5, c=30.0),
                 profile=Sinusoidal(0.1, 1.0, 50.0), initial=RIEMANN, snapshots=(),
             ),
-            small_config(profile=SingleJump(1.0, 0.1, 0.625), wavespeed=False, snapshots=()),
+            small_config(profile=SingleJump(1.0, 0.1, 0.625), snapshots=()),
             small_config(dx=0.02, params=ModelParameters(d=0.5, r=1.0, D=4e-5, c=70.0), snapshots=()),
         ]
         for batched, cfg in zip(run_configs(cfgs), cfgs):
@@ -568,31 +550,24 @@ class TestRunConfigs:
             assert batched.config == cfg
             for name in ("u", "v", "w"):
                 assert np.array_equal(getattr(batched.final_state, name), getattr(single.final_state, name))
-            if cfg.wavespeed:
-                assert np.array_equal(batched.speed_series.thetas, single.speed_series.thetas)
-            else:
-                assert batched.speed_series is None
+            assert np.array_equal(batched.speed_series.thetas, single.speed_series.thetas)
             assert (batched.min_u, batched.min_v, batched.min_w) == (single.min_u, single.min_v, single.min_w)
             assert batched.steps == single.steps
             assert batched.warnings == single.warnings
         assert any("stability" in w for w in run_configs(cfgs)[2].warnings)
 
-    def test_front_warning_only_for_runs_tracking_speed(self):
-        # the front leaves the short domain; the quiet run tracks no speed
-        # and reports no front warning, alone or beside one that does
-        escape = dict(params=ModelParameters(d=30.0, r=10.0, D=0.01, c=70.0), dx=0.02, T=2.0, snapshots=())
-        quiet, tracked = small_config(wavespeed=False, **escape), small_config(**escape)
+    def test_only_runs_whose_front_nears_the_boundary_warn(self):
+        # a batch used to warn for every run whose front neared the boundary;
+        # the fast front leaves the short domain, the slow one stays inside
+        escape = dict(dx=0.02, T=2.0, snapshots=())
+        fast = small_config(params=ModelParameters(d=30.0, r=10.0, D=0.01, c=70.0), **escape)
+        slow = small_config(params=ModelParameters(d=30.0, r=0.05, D=0.01, c=70.0), **escape)
+        near = "tumour front approached the domain boundary"
         with pytest.warns(FrontProximityWarning):
-            batch = run_configs([quiet, tracked])
-        assert run_config(quiet).warnings == ()
-        assert batch[0].warnings == ()
-        assert batch[1].warnings == ("tumour front approached the domain boundary",)
-
-    def test_only_runs_tracking_speed_warn_of_the_front(self):
-        # a batch used to warn for every run whose front neared the boundary
-        escape = dict(params=ModelParameters(d=30.0, r=10.0, D=0.01, c=70.0), dx=0.02, T=2.0, snapshots=())
-        quiet, tracked = small_config(wavespeed=False, **escape), small_config(**escape)
-        for cfgs, expected in (([quiet, tracked], 1), ([tracked, quiet, quiet, tracked], 2), ([quiet, quiet], 0)):
+            alone = run_config(fast)
+        assert alone.warnings == (near,)
+        assert run_config(slow).warnings == ()
+        for cfgs, expected in (([slow, fast], 1), ([fast, slow, slow, fast], 2), ([slow, slow], 0)):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 results = run_configs(cfgs)
@@ -600,14 +575,10 @@ class TestRunConfigs:
             assert len(fronts) == expected, cfgs
             for cfg, result in zip(cfgs, results):
                 assert result.config is cfg
-                assert (result.speed_series is not None) == cfg.wavespeed
-            if expected:
-                # the tracked runs' series are those of the run alone
-                with pytest.warns(FrontProximityWarning):
-                    alone = run_config(tracked).speed_series.thetas
-                for cfg, result in zip(cfgs, results):
-                    if cfg.wavespeed:
-                        assert np.array_equal(result.speed_series.thetas, alone)
+                assert result.warnings == ((near,) if cfg is fast else ())
+                assert (near in summarize(result).warnings) == (cfg is fast)
+                if cfg is fast:
+                    assert np.array_equal(result.speed_series.thetas, alone.speed_series.thetas)
 
     def test_empty(self):
         assert run_configs([]) == []
