@@ -74,7 +74,6 @@ class GapReport:
     left_edge: float
     right_edge: float
     width: float
-    threshold: float
 
 
 @dataclass(frozen=True)
@@ -227,7 +226,7 @@ def detect_gap(s: SimulationState) -> GapReport:
     """
     mask = (s.u < GAP_THRESHOLD) & (s.v < GAP_THRESHOLD)
     if not mask.any():
-        return GapReport(False, math.nan, math.nan, 0.0, GAP_THRESHOLD)
+        return GapReport(False, math.nan, math.nan, 0.0)
     # Longest run of consecutive True cells.
     padded = np.concatenate(([False], mask, [False]))
     edges = np.flatnonzero(np.diff(padded.astype(np.int8)))
@@ -237,7 +236,7 @@ def detect_gap(s: SimulationState) -> GapReport:
     left = float(s.mesh.centers[first])
     right = float(s.mesh.centers[last])
     width = right - left
-    return GapReport(width > 0.0, left, right, width, GAP_THRESHOLD)
+    return GapReport(width > 0.0, left, right, width)
 
 
 def _low_decile(x: np.ndarray) -> float:

@@ -100,30 +100,25 @@ def _cmd_list_presets(args) -> int:
 
 def _parse_rows(selector: str):
     if selector == "all":
-        return TABLE3_ROWS
-    rows = []
+        return range(1, len(TABLE3_ROWS) + 1)
+    numbers = []
     for token in selector.split(","):
         token = token.strip()
         if not token:
             raise ConfigurationError(f"empty item in row selector {selector!r}")
         try:
-            index = int(token)
+            numbers.append(int(token))
         except ValueError:
             raise ConfigurationError(
                 f"row selector {token!r} is not an integer (use 1..{len(TABLE3_ROWS)} or 'all')"
             ) from None
-        if not 1 <= index <= len(TABLE3_ROWS):
-            raise ConfigurationError(
-                f"row {index} out of range 1..{len(TABLE3_ROWS)}"
-            )
-        rows.append(TABLE3_ROWS[index - 1])
-    return tuple(rows)
+    return numbers
 
 
 def _cmd_homogenize(args) -> int:
-    rows = _parse_rows(args.rows)
+    numbers = _parse_rows(args.rows)
     with _out_directory(args.out):
-        results = run_homogenization_suite(rows, outdir=args.out)
+        results = run_homogenization_suite(numbers, outdir=args.out)
     print(f"{'d':>6} {'omega':>6} {'alpha0':>7} {'alpha1':>7} {'p.wise const.':>14} {'sinusoidal':>11}")
     for row in results:
         pc = "HOM" if row["pc"].homogenized else "NO"

@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    GAP_THRESHOLD,
     GapReport,
     PositivityRecorder,
     WaveSpeedRecorder,
@@ -201,17 +202,7 @@ TABLE3_ROWS: tuple[tuple[float, float, float, float], ...] = (
 )
 
 
-def table3_profile(family: str, omega: float, alpha0: float, alpha1: float) -> DiffusionProfile:
-    if family == "pc":
-        return PeriodicPiecewiseConstant(
-            alpha0=alpha0, alpha1=alpha1, beta=0.5, periods=omega / 2.0
-        )
-    if family == "sin":
-        return Sinusoidal(alpha0=alpha0, alpha1=alpha1, omega=omega)
-    raise ConfigurationError(f"unknown profile family {family!r} (choose pc or sin)")
-
-
-def _config(d, profile, initial, xmin, xmax, T=_T, r=_R, snapshots=None):
+def _config(d, profile, initial, xmin, xmax, T=_T, r=_R):
     return ScenarioConfig(
         params=ModelParameters(d=d, r=r, D=_D, c=_C),
         profile=profile,
@@ -221,7 +212,7 @@ def _config(d, profile, initial, xmin, xmax, T=_T, r=_R, snapshots=None):
         dx=_DX,
         dt=_DT,
         T=T,
-        snapshots=(0.0, T) if snapshots is None else snapshots,
+        snapshots=(0.0, T),
     )
 
 
@@ -282,10 +273,10 @@ def _build_catalog() -> dict[str, ScenarioConfig]:
 
     # Homogenization benchmark rows, both profile families.
     for i, (d, omega, a0, a1) in enumerate(TABLE3_ROWS, start=1):
-        for family in ("pc", "sin"):
-            cat[f"table3-row{i:02d}-{family}"] = _config(
-                d, table3_profile(family, omega, a0, a1), PIECEWISE_LINEAR, 0.0, 1.0
-            )
+        pc = PeriodicPiecewiseConstant(alpha0=a0, alpha1=a1, beta=0.5, periods=omega / 2.0)
+        sin = Sinusoidal(alpha0=a0, alpha1=a1, omega=omega)
+        cat[f"table3-row{i:02d}-pc"] = _config(d, pc, PIECEWISE_LINEAR, 0.0, 1.0)
+        cat[f"table3-row{i:02d}-sin"] = _config(d, sin, PIECEWISE_LINEAR, 0.0, 1.0)
     return cat
 
 
@@ -452,7 +443,7 @@ class RunSummary:
             f"gap_left={fmt(self.gap.left_edge)}",
             f"gap_right={fmt(self.gap.right_edge)}",
             f"gap_width={fmt(self.gap.width)}",
-            f"gap_threshold={fmt(self.gap.threshold)}",
+            f"gap_threshold={fmt(GAP_THRESHOLD)}",
             f"tail_mean={fmt(self.tail_mean)}",
             f"tail_peak_to_peak={fmt(self.tail_peak_to_peak)}",
             f"steps={self.steps}",
@@ -635,24 +626,24 @@ def effective_twin(cfg: ScenarioConfig) -> ScenarioConfig:
     return dataclasses.replace(cfg, profile=Constant(effective_diffusivity(cfg.profile)))
 
 
-def run_homogenization_suite(rows, outdir=None):
-    """Homogenization comparison for each (d, omega, alpha0, alpha1) row,
-    run for both profile families.
+def run_homogenization_suite(numbers, outdir=None):
+    """Homogenization comparison for the TABLE3_ROWS rows numbered (from 1)
+    by ``numbers``: each row's ``table3-rowNN-pc`` and ``-sin`` presets
+    against their effective twins, which march with them as one batch.
 
-    Every periodic run and its effective twin march as one batch.  Returns
-    one dict per row with the two verdicts; also writes
+    Returns one dict per row with the two verdicts; also writes
     ``homogenization.csv`` when ``outdir`` is given.  Raises
-    ConfigurationError, before any run, for an empty row selection or a row
-    selected twice.
+    ConfigurationError, before any run, for an empty selection, a number
+    outside 1..12 or a row selected twice.
     """
-    if not rows:
+    if not numbers:
         raise ConfigurationError("no homogenization row selected")
+    for i in numbers:
+        if not 1 <= i <= len(TABLE3_ROWS):
+            raise ConfigurationError(f"row {i} out of range 1..{len(TABLE3_ROWS)}")
+    rows = [TABLE3_ROWS[i - 1] for i in numbers]
     _reject_repeats(rows, "homogenization row")
-    periodic = [
-        _config(d, table3_profile(family, omega, a0, a1), PIECEWISE_LINEAR, 0.0, 1.0)
-        for d, omega, a0, a1 in rows
-        for family in ("pc", "sin")
-    ]
+    periodic = [preset(f"table3-row{i:02d}-{family}") for i in numbers for family in ("pc", "sin")]
     runs = run_configs(periodic + [effective_twin(cfg) for cfg in periodic])
     verdicts = [
         homogenization_compare(p.speed_series, e.speed_series)

@@ -181,7 +181,7 @@ def test_c08_homogenization_matrix():
             (1.5, 100.0, "pc"), (1.5, 100.0, "sin"),
             (30.0, 100.0, "pc"),
         }
-        results = run_homogenization_suite(TABLE3_ROWS)
+        results = run_homogenization_suite(range(1, len(TABLE3_ROWS) + 1))
         assert len(results) == 12
         for row in results:
             for family in ("pc", "sin"):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from acidfront.analysis import (
+    GAP_THRESHOLD,
     InvasionRegime,
     WaveSpeedRecorder,
     WaveSpeedSeries,
@@ -148,7 +149,7 @@ class TestDetectGap:
         report = detect_gap(s)
         assert not report.present
         assert report.width == 0.0
-        assert report.threshold == 0.01
+        assert GAP_THRESHOLD == 0.01
 
     def test_synthetic_gap_location(self):
         m = build_uniform_mesh(0.0, 1.0, 0.005)

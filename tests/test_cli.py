@@ -342,6 +342,11 @@ class TestHomogenize:
         assert main(["homogenize", "--rows", rows]) == 1
         assert capsys.readouterr().err.startswith("error: empty item")
 
+    def test_row_out_of_range_leaves_no_directory(self, tmp_path, capsys, no_run):
+        assert main(["homogenize", "--rows", "3,13", "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: row 13 out of range 1..12\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("rows", ["3,3", "3,5,3"])
     def test_repeated_row_rejected(self, capsys, no_run, rows):
         # used to run row 3 twice and write it twice

@@ -661,6 +661,34 @@ class TestRegimeExpectations:
         with pytest.raises(ConfigurationError, match="no homogenization row"):
             scenarios.run_homogenization_suite(())
 
+    def test_homogenization_suite_marches_the_catalog_presets(self, monkeypatch):
+        from acidfront import scenarios
+
+        class Marched(Exception):
+            pass
+
+        def recorded(cfgs):
+            raise Marched(list(cfgs))
+
+        monkeypatch.setattr(scenarios, "run_configs", recorded)
+        with pytest.raises(Marched) as marched:
+            scenarios.run_homogenization_suite([3, 9])
+        periodic = [
+            preset("table3-row03-pc"), preset("table3-row03-sin"),
+            preset("table3-row09-pc"), preset("table3-row09-sin"),
+        ]
+        (cfgs,) = marched.value.args
+        assert cfgs == periodic + [scenarios.effective_twin(cfg) for cfg in periodic]
+        assert all(cfg is catalog for cfg, catalog in zip(cfgs, periodic))
+
+    @pytest.mark.parametrize("number", [0, 13])
+    def test_homogenization_row_number_out_of_range(self, monkeypatch, number):
+        from acidfront import scenarios
+
+        monkeypatch.setattr(scenarios, "run_configs", None)  # no run may start
+        with pytest.raises(ConfigurationError, match=rf"^row {number} out of range 1\.\.12$"):
+            scenarios.run_homogenization_suite([3, number])
+
     # Qualitative single-jump outcomes: the gap needs a much larger d when
     # the acid enters the slow-diffusion region first, and is wide open for
     # the decreasing jump already at d=12.5.
