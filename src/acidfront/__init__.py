@@ -44,7 +44,6 @@ from .mesh import (
 from .scenarios import (
     TABLE3_ROWS,
     RunResult,
-    RunSummary,
     ScenarioConfig,
     convergence_study,
     effective_twin,

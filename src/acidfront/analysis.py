@@ -177,12 +177,16 @@ class WaveSpeedRecorder:
             )
 
     def series(self, run: int = 0) -> WaveSpeedSeries:
-        """The speed series of one run of a batch (of the run, for one)."""
-        thetas = np.concatenate(self._thetas) if self._thetas else np.empty(0)
-        return WaveSpeedSeries(
-            thetas=thetas[:, run] if thetas.ndim == 2 else thetas,
-            times=np.concatenate(self._times) if self._times else np.empty(0),
-        )
+        """The speed series of one run of a batch (of the run, for one).  The
+        blocks are joined once, into read-only arrays that every series
+        shares, and a run of a batch gets a copy of its own column, which
+        keeps no other run's values alive."""
+        if len(self._thetas) > 1:
+            self._thetas, self._times = [np.concatenate(self._thetas)], [np.concatenate(self._times)]
+        thetas, times = (self._thetas[0], self._times[0]) if self._thetas else (np.empty(0),) * 2
+        thetas.setflags(write=False)
+        times.setflags(write=False)
+        return WaveSpeedSeries(thetas[:, run].copy() if thetas.ndim == 2 else thetas, times)
 
 
 class PositivityRecorder:

@@ -86,8 +86,8 @@ def _out_directory(out):
 def _cmd_simulate(args) -> int:
     cfg = _apply_overrides(_load_scenario(args.scenario), args)
     with _out_directory(args.out):
-        summary = run_scenario(cfg, args.out)
-    sys.stdout.write(summary.render())
+        result = run_scenario(cfg, args.out)
+    sys.stdout.write(result.render())
     print(f"outputs written to {args.out}")
     return 0
 

@@ -2,9 +2,9 @@
 
 A scenario bundles model parameters, a diffusivity profile, the initial
 profile kind, and a finite space-time grid whose final time and snapshot
-times are whole numbers of steps dt (the final time at least one).  Every
-run records the front speed, the gap and the classification; the thresholds
-of those are fixed constants of ``analysis``.
+times are whole numbers of steps dt (the final time at least one).  A run's
+RunResult holds the front speed, gap, classification and warnings that
+``summary.txt`` renders; their thresholds are constants of ``analysis``.
 
 The preset catalog reproduces the reference experiments: the
 homogeneous-diffusivity baseline (four destructiveness regimes), single-jump
@@ -261,7 +261,6 @@ def _build_catalog() -> dict[str, ScenarioConfig]:
     cat["appendix-w200-a0.01-0.06-d200"] = _config(
         200.0, Sinusoidal(0.01, 0.06, 200.0), PIECEWISE_LINEAR, 0.0, 1.0
     )
-    cat["appendix-omega100"] = cat["periodic-w100-d60"]
 
     # Fast tumour growth (r = 10) needs a longer domain and horizon to watch
     # the quicker front.
@@ -269,7 +268,6 @@ def _build_catalog() -> dict[str, ScenarioConfig]:
         cat[f"growth-r10-w50-d{d:g}"] = _config(
             d, Sinusoidal(0.1, 1.0, 50.0), PIECEWISE_LINEAR, 0.0, 2.5, T=40.0, r=10.0
         )
-    cat["growth-r10-w50"] = cat["growth-r10-w50-d0.5"]
 
     # Homogenization benchmark rows, both profile families.
     for i, (d, omega, a0, a1) in enumerate(TABLE3_ROWS, start=1):
@@ -401,8 +399,11 @@ def parse_config(text: str) -> ScenarioConfig:
 
 @dataclass(frozen=True)
 class RunResult:
-    """In-memory outcome of one run (no file output).  ``wall_time_s`` is
-    the time of the whole batch the run marched in (see ``run_configs``)."""
+    """Outcome of one run (no file output) and its diagnostics, which
+    ``render`` digests as deterministic key=value text.  ``wall_time_s`` is
+    the time of the whole batch the run marched in (see ``run_configs``).
+    A front that has left the domain cannot be classified: the
+    classification is then None and a warning says why."""
 
     config: ScenarioConfig
     final_state: SimulationState
@@ -413,19 +414,10 @@ class RunResult:
     steps: int
     wall_time_s: float
     warnings: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class RunSummary:
-    """Deterministically serializable digest of a finished run."""
-
     classification: str | None
     gap: GapReport
     tail_mean: float
     tail_peak_to_peak: float
-    steps: int
-    wall_time_s: float
-    warnings: tuple[str, ...]
 
     def render(self) -> str:
         def fmt(value) -> str:
@@ -487,7 +479,10 @@ class SnapshotWriter:
             self.write(fields[step - first_step], self._pending.pop(step))
 
 
-def _run_warnings(cfg: ScenarioConfig, front_near_boundary) -> tuple[str, ...]:
+def _diagnose(cfg: ScenarioConfig, state: SimulationState, series: WaveSpeedSeries, near) -> dict:
+    """The warnings, classification, gap and tail speed of a finished run
+    (``near`` if its front came near the boundary), as keyword arguments of
+    its RunResult."""
     run_warnings = []
     limit = reaction_step_limit(cfg.params)
     if cfg.dt > limit:
@@ -497,9 +492,16 @@ def _run_warnings(cfg: ScenarioConfig, front_near_boundary) -> tuple[str, ...]:
     nearest = aliasing_multiple(cfg.dx, cfg.profile)
     if nearest:
         run_warnings.append(f"cell width ~ {nearest} x diffusivity period; oscillations alias")
-    if front_near_boundary:
+    if near:
         run_warnings.append("tumour front approached the domain boundary")
-    return tuple(run_warnings)
+    classification = None
+    try:
+        classification = str(classify_invasion(state, cfg.params.d))
+    except ValueError:
+        run_warnings.append("no tumour front left inside the domain; not classified")
+    tail_mean, tail_peak_to_peak = tail_speed(series)
+    return dict(warnings=tuple(run_warnings), classification=classification, gap=detect_gap(state),
+                tail_mean=tail_mean, tail_peak_to_peak=tail_peak_to_peak)
 
 
 def _batch_key(cfg: ScenarioConfig):
@@ -534,20 +536,21 @@ def _run_batch(cfgs, extra_observers=(), mesh=None) -> list[RunResult]:
         np.broadcast_to(m, runs) for m in (positivity.min_u, positivity.min_v, positivity.min_w)
     )
     near = np.broadcast_to(recorder.front_near_boundary, runs)
-    return [
-        RunResult(
+    results = []
+    for b, (cfg, state) in enumerate(zip(cfgs, final.unstack())):
+        series = recorder.series(b)
+        results.append(RunResult(
             config=cfg,
             final_state=state,
-            speed_series=recorder.series(b),
+            speed_series=series,
             min_u=float(min_u[b]),
             min_v=float(min_v[b]),
             min_w=float(min_w[b]),
             steps=steps,
             wall_time_s=elapsed,
-            warnings=_run_warnings(cfg, near[b]),
-        )
-        for b, (cfg, state) in enumerate(zip(cfgs, final.unstack()))
-    ]
+            **_diagnose(cfg, state, series, near[b]),
+        ))
+    return results
 
 
 def run_config(cfg: ScenarioConfig, extra_observers=()) -> RunResult:
@@ -569,30 +572,9 @@ def run_configs(cfgs) -> list[RunResult]:
     return results
 
 
-def summarize(result: RunResult) -> RunSummary:
-    """Digest of a run.  A front that has left the domain cannot be
-    classified: the classification is then none and a warning says why."""
-    classification = None
-    run_warnings = result.warnings
-    try:
-        classification = str(classify_invasion(result.final_state, result.config.params.d))
-    except ValueError:
-        run_warnings += ("no tumour front left inside the domain; not classified",)
-    tail_mean, tail_ptp = tail_speed(result.speed_series)
-    return RunSummary(
-        classification=classification,
-        gap=detect_gap(result.final_state),
-        tail_mean=tail_mean,
-        tail_peak_to_peak=tail_ptp,
-        steps=result.steps,
-        wall_time_s=result.wall_time_s,
-        warnings=run_warnings,
-    )
-
-
-def run_scenario(cfg: ScenarioConfig, outdir) -> RunSummary:
-    """Execute a scenario and write snapshots, the wave-speed series, and a
-    key=value summary under ``outdir``."""
+def run_scenario(cfg: ScenarioConfig, outdir) -> RunResult:
+    """Execute a scenario and write snapshots, the wave-speed series, the
+    rendered RunResult (``summary.txt``) and the config under ``outdir``."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     mesh = cfg.mesh()  # one mesh serves the writer and the run
@@ -605,10 +587,9 @@ def run_scenario(cfg: ScenarioConfig, outdir) -> RunSummary:
         (range(1, len(series) + 1), series.times, series.thetas),
     )
 
-    summary = summarize(result)
-    (outdir / "summary.txt").write_text(summary.render())
+    (outdir / "summary.txt").write_text(result.render())
     (outdir / "config.txt").write_text(render_config(cfg))
-    return summary
+    return result
 
 
 def _reject_repeats(items, what: str):
@@ -633,12 +614,15 @@ def run_homogenization_suite(numbers, outdir=None):
 
     Returns one dict per row with the two verdicts; also writes
     ``homogenization.csv`` when ``outdir`` is given.  Raises
-    ConfigurationError, before any run, for an empty selection, a number
-    outside 1..12 or a row selected twice.
+    ConfigurationError, before any run, for an empty selection, an item
+    that is not an int (a bool neither), a number outside 1..12 or a row
+    selected twice.
     """
     if not numbers:
         raise ConfigurationError("no homogenization row selected")
     for i in numbers:
+        if not isinstance(i, int) or isinstance(i, bool):
+            raise ConfigurationError(f"row {i!r} is not an integer")
         if not 1 <= i <= len(TABLE3_ROWS):
             raise ConfigurationError(f"row {i} out of range 1..{len(TABLE3_ROWS)}")
     rows = [TABLE3_ROWS[i - 1] for i in numbers]
@@ -754,9 +738,8 @@ def speed_table(names, outdir=None) -> list[dict]:
     keys = ("preset", "tail_mean", "tail_peak_to_peak", "fkpp_bound")
     rows = []
     for name, cfg, result in zip(names, cfgs, run_configs(cfgs)):
-        mean, ptp = tail_speed(result.speed_series)
         bound = fkpp_minimal_speed(cfg.params.r, cfg.params.D)
-        rows.append(dict(zip(keys, (name, mean, ptp, bound))))
+        rows.append(dict(zip(keys, (name, result.tail_mean, result.tail_peak_to_peak, bound))))
 
     if outdir is not None:
         outdir = Path(outdir)

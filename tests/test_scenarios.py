@@ -28,7 +28,6 @@ from acidfront.scenarios import (
     run_config,
     run_configs,
     run_scenario,
-    summarize,
 )
 
 
@@ -142,7 +141,7 @@ class TestPresets:
         for name in (
             "table1-d0.5", "table1-d2.5", "table1-d12.5",
             "jump-increasing-d35", "periodic-w50-d60",
-            "growth-r10-w50", "appendix-omega100",
+            "growth-r10-w50-d0.5", "periodic-w100-d60",
         ):
             preset(name)
 
@@ -159,8 +158,15 @@ class TestPresets:
         assert cfg.initial == RIEMANN
         assert (cfg.xmin, cfg.xmax) == (0.0, 1.0)
 
+    @pytest.mark.parametrize("alias", ["appendix-omega100", "growth-r10-w50"])
+    def test_aliases_are_gone(self, alias):
+        # they named periodic-w100-d60 and growth-r10-w50-d0.5 a second time
+        assert alias not in preset_names()
+        with pytest.raises(ConfigurationError, match="unknown preset"):
+            preset(alias)
+
     def test_growth_preset(self):
-        cfg = preset("growth-r10-w50")
+        cfg = preset("growth-r10-w50-d0.5")
         assert cfg.params.r == 10.0
         assert cfg.T == 40.0
         assert cfg.profile == Sinusoidal(0.1, 1.0, 50.0)
@@ -494,6 +500,22 @@ class TestRunScenario:
             "steps", "wall_time_s", "warnings",
         ]
 
+    def test_summary_renders_the_run_record(self, tmp_path):
+        # a preset that warns: summary.txt is the RunResult's own rendering
+        cfg = dataclasses.replace(preset("appendix-w200-a0.01-0.06-d200"), T=0.1, snapshots=())
+        with pytest.warns(StabilityWarning):
+            written = run_scenario(cfg, tmp_path)
+            (result,) = run_configs([cfg])
+        assert result.warnings and written.warnings == result.warnings
+
+        def without_wall_time(text):
+            return [line for line in text.splitlines() if not line.startswith("wall_time_s=")]
+
+        summary = (tmp_path / "summary.txt").read_text()
+        assert summary == written.render()
+        assert without_wall_time(summary) == without_wall_time(result.render())
+        assert len(without_wall_time(summary)) == len(summary.splitlines()) - 1
+
     def test_stability_warning_recorded(self, tmp_path):
         # dt above 1/max(1, r, c) via a fast logistic (bounded overshoot,
         # the run itself survives the short horizon)
@@ -563,9 +585,11 @@ class TestRunConfigs:
         fast = small_config(params=ModelParameters(d=30.0, r=10.0, D=0.01, c=70.0), **escape)
         slow = small_config(params=ModelParameters(d=30.0, r=0.05, D=0.01, c=70.0), **escape)
         near = "tumour front approached the domain boundary"
+        gone = "no tumour front left inside the domain; not classified"
         with pytest.warns(FrontProximityWarning):
             alone = run_config(fast)
-        assert alone.warnings == (near,)
+        assert alone.warnings == (near, gone)
+        assert alone.classification is None
         assert run_config(slow).warnings == ()
         for cfgs, expected in (([slow, fast], 1), ([fast, slow, slow, fast], 2), ([slow, slow], 0)):
             with warnings.catch_warnings(record=True) as caught:
@@ -575,10 +599,26 @@ class TestRunConfigs:
             assert len(fronts) == expected, cfgs
             for cfg, result in zip(cfgs, results):
                 assert result.config is cfg
-                assert result.warnings == ((near,) if cfg is fast else ())
-                assert (near in summarize(result).warnings) == (cfg is fast)
+                assert result.warnings == ((near, gone) if cfg is fast else ())
                 if cfg is fast:
                     assert np.array_equal(result.speed_series.thetas, alone.speed_series.thetas)
+
+    def test_speed_series_hold_only_their_own_run(self):
+        # a column view of a (steps, B) join of the blocks would keep every
+        # run's values alive for as long as any one run's series lives; the
+        # time stamps all runs share cannot be written through one of them
+        cfgs = [
+            dataclasses.replace(preset(f"table3-row{i:02d}-{family}"), T=2.0, snapshots=())
+            for i in (1, 2, 3, 4) for family in ("pc", "sin")
+        ]
+        for result in run_configs(cfgs):
+            thetas = result.speed_series.thetas
+            assert thetas.shape == (result.steps,)
+            assert not result.speed_series.times.flags.writeable
+            owner = thetas
+            while isinstance(owner.base, np.ndarray):
+                owner = owner.base
+            assert owner.nbytes == thetas.nbytes
 
     def test_empty(self):
         assert run_configs([]) == []
@@ -637,22 +677,18 @@ class TestConvergenceStudy:
 
 class TestRegimeExpectations:
     def test_baseline_summary_contract(self, preset_run):
-        summary = summarize(preset_run("table1-d12.5"))
-        assert summary.classification == "homogeneous"
-        assert summary.gap.present
-        assert summary.steps == 2000
+        result = preset_run("table1-d12.5")
+        assert result.classification == "homogeneous"
+        assert result.gap.present
+        assert result.steps == 2000
 
     def test_heterogeneous_run_has_no_gap(self, preset_run):
-        from acidfront.analysis import detect_gap
-
         result = preset_run("table1-d0.5")
-        assert summarize(result).classification == "heterogeneous"
-        assert not detect_gap(result.final_state).present
+        assert result.classification == "heterogeneous"
+        assert not result.gap.present
 
     def test_periodic_high_d_opens_gap(self, preset_run):
-        from acidfront.analysis import detect_gap
-
-        assert detect_gap(preset_run("periodic-w50-d60").final_state).present
+        assert preset_run("periodic-w50-d60").gap.present
 
     def test_empty_homogenization_selection(self, monkeypatch):
         from acidfront import scenarios
@@ -689,21 +725,23 @@ class TestRegimeExpectations:
         with pytest.raises(ConfigurationError, match=rf"^row {number} out of range 1\.\.12$"):
             scenarios.run_homogenization_suite([3, number])
 
+    @pytest.mark.parametrize("number", [3.0, "3", True])
+    def test_homogenization_row_number_must_be_an_int(self, monkeypatch, number):
+        from acidfront import scenarios
+
+        monkeypatch.setattr(scenarios, "run_configs", None)  # no run may start
+        with pytest.raises(ConfigurationError, match=rf"^row {number!r} is not an integer$"):
+            scenarios.run_homogenization_suite([3, number])
+
     # Qualitative single-jump outcomes: the gap needs a much larger d when
     # the acid enters the slow-diffusion region first, and is wide open for
     # the decreasing jump already at d=12.5.
     def test_increasing_jump_gap_opens_only_at_large_d(self, preset_run):
-        hybrid = preset_run("jump-increasing-d12.5")
-        homog = preset_run("jump-increasing-d35")
-        from acidfront.analysis import detect_gap
-
-        assert not detect_gap(hybrid.final_state).present
-        assert detect_gap(homog.final_state).present
+        assert not preset_run("jump-increasing-d12.5").gap.present
+        assert preset_run("jump-increasing-d35").gap.present
 
     def test_decreasing_jump_gap_at_moderate_d(self, preset_run):
-        from acidfront.analysis import detect_gap
-
-        assert detect_gap(preset_run("jump-decreasing-d12.5").final_state).present
+        assert preset_run("jump-decreasing-d12.5").gap.present
 
     @pytest.mark.filterwarnings("ignore::acidfront.errors.StabilityWarning")
     def test_narrow_weak_oscillation_suppresses_gap(self, preset_run):
@@ -711,10 +749,6 @@ class TestRegimeExpectations:
         # trapped and no developed gap opens even at d = 200; at most a
         # transition-zone sliver remains, far below the true-gap scale.
         # dt*d = 2 exceeds the reaction limit by design, and says so.
-        from acidfront.analysis import detect_gap
-
         result = preset_run("appendix-w200-a0.01-0.06-d200")
         assert any("stability" in w for w in result.warnings)
-        weak = detect_gap(result.final_state)
-        reference = detect_gap(preset_run("table1-d12.5").final_state)
-        assert weak.width < 0.5 * reference.width
+        assert result.gap.width < 0.5 * preset_run("table1-d12.5").gap.width
