@@ -403,7 +403,8 @@ class RunResult:
     ``render`` digests as deterministic key=value text.  ``wall_time_s`` is
     the time of the whole batch the run marched in (see ``run_configs``).
     A front that has left the domain cannot be classified: the
-    classification is then None and a warning says why."""
+    classification is then None, the tail speed statistics are NaN and a
+    warning says why."""
 
     config: ScenarioConfig
     final_state: SimulationState
@@ -499,7 +500,10 @@ def _diagnose(cfg: ScenarioConfig, state: SimulationState, series: WaveSpeedSeri
         classification = str(classify_invasion(state, cfg.params.d))
     except ValueError:
         run_warnings.append("no tumour front left inside the domain; not classified")
-    tail_mean, tail_peak_to_peak = tail_speed(series)
+    # a tail taken after the front left the domain averages no front speed
+    tail_mean, tail_peak_to_peak = (
+        tail_speed(series) if classification is not None else (math.nan, math.nan)
+    )
     return dict(warnings=tuple(run_warnings), classification=classification, gap=detect_gap(state),
                 tail_mean=tail_mean, tail_peak_to_peak=tail_peak_to_peak)
 

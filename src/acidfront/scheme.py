@@ -34,12 +34,12 @@ gttrf) and each step solves with the factors (gttrs).  The tumour matrix
 changes with u and is rebuilt and solved each step with LAPACK gtsv.
 
 The explicit stage is ``core.reaction_u/v/w`` times dt plus the old fields,
-fused into eight numpy calls over stacked rows: 1 - [u, v], then
-[d, r] * [w, v], then [r*v, c] * [1 - v, v - w] and so on (see
+fused into nine numpy calls over stacked rows: 1 - [u, v], then
+[d, r] * [w, v], then r*v * (1 - v), c * (v - w) and so on (see
 ``_Stepper._step``).  They do the operations of the three functions on the
 same operands in the same order, so every value rounds as theirs does; the
 functions stay as the readable reference.  With the nine calls of the
-tumour bands a step makes 17 numpy calls and 2 LAPACK calls (a batch makes
+tumour bands a step makes 18 numpy calls and 2 LAPACK calls (a batch makes
 one more, to zero its junctions).  The tests hold the stepper's fields equal,
 byte for byte, to a step built from reaction_u/v/w, the reference
 operator L and the LAPACK routines called one at a time
@@ -51,10 +51,11 @@ fields into the next row of one preallocated (K+1, 3, B*N) history array
 the state the block starts from.  ``run`` seeds it with the initial fields
 and drops the state before it builds anything else, so a march holds each
 field once (and one mesh, the state's).  No step runs a reduction or
-builds a state.  After each block one vectorised pass over its rows does
+builds a state, and each LAPACK solve writes its INFO into its row's slot
+of a small array.  After each block one vectorised pass over its rows does
 what a per-step check would: it finds the first step whose tumour
-interface coefficient went negative or whose fields are not finite, and
-returns that step and the reason.  Then the observers get the block, once,
+interface coefficient went negative, whose solve failed or whose fields
+are not finite, and returns that step and the reason.  Then the observers get the block, once,
 as ``observer(first_step, times, fields)`` (see ``run``), so the
 wave-speed increments, the per-run minima, the front-proximity test and
 the snapshots are one vectorised pass per block too.  ``run`` raises the
@@ -63,32 +64,28 @@ the march with a block of one step, raises it with the time of the state
 it stepped.  Every operation runs in the order of a step at a time, so the
 numbers do not depend on the block size.
 
-The three LAPACK routines (dgtsv, dgttrf, dgttrs) are scipy's, bound from
-its f2py extension module ``scipy.linalg._flapack``, which this module
-loads on its own (``_lapack_routines``): it finds scipy without running
-the package, so neither ``scipy`` nor ``scipy.linalg`` is executed (except
-on Windows, see below).  Importing the routines through ``scipy.linalg``
-would run that package's ``__init__``, which costs about 0.3 s (mostly
-scipy's array-API copy of numpy): more than an everyday preset run
-marches; ``import scipy`` alone costs about 10 ms and 1 MiB.  The module is
-registered under its own name, so ``scipy.linalg.lapack`` exports the very
-same function objects, whichever of the two is imported first."""
+The three LAPACK routines (dgtsv, dgttrf, dgttrs) are called through
+ctypes (``_Lapack``), from the library chosen at import (``_bind``):
+numpy's bundled OpenBLAS where numpy's wheel ships one (``numpy.libs`` on
+Linux and Windows, ``numpy/.dylibs`` on macOS x86-64), which ``import
+numpy`` has mapped already, so binding it costs no memory and no import;
+else scipy's Cython LAPACK (``scipy.linalg.cython_lapack``), whose entry
+points its capsules export.  The first takes 64-bit integer arguments
+(ILP64), the second C ints (LP64).  scipy's f2py LAPACK module would map
+a second OpenBLAS, with its own libgfortran, next to numpy's: about
+2.6 MiB resident in every process.  A solve gets pointer objects only, and
+the stepper builds them once per history row (see ``_Stepper``), so a
+step pays no more for its two calls than it did through scipy's wrappers."""
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
+import ctypes
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-if sys.platform == "win32":
-    # the wheel's __init__ puts scipy.libs, which _flapack needs, on the DLL search path
-    import scipy  # noqa: F401
 
 # reaction_u/v/w are the readable reference of the kinetics that
 # _Stepper._step fuses; perfbench/tracing.py rebinds them in this module.
@@ -96,34 +93,88 @@ from .core import ModelParameters, reaction_u, reaction_v, reaction_w  # noqa: F
 from .errors import InstabilityError, StabilityWarning
 from .mesh import DiffusionProfile, Mesh, project_cell_averages
 
-_FLAPACK = "scipy.linalg._flapack"
+_ROUTINES = ("dgtsv", "dgttrf", "dgttrs")
+# Where numpy's wheels put the OpenBLAS they bundle: numpy.libs beside the
+# package (Linux, Windows) or numpy/.dylibs (macOS x86-64).
+_NUMPY = Path(np.__file__).parent
+_BUNDLE_DIRS = (_NUMPY.parent / "numpy.libs", _NUMPY / ".dylibs")
+_BUNDLE_GLOB = "libscipy_openblas64_*"
+# dgttrs solves with A, not its transpose; gfortran passes the length of
+# the character argument last, by value.
+_NO_TRANSPOSE = ctypes.c_char_p(b"N")
+_TRANS_LENGTH = ctypes.c_size_t(1)
 
 
-def _lapack_routines():
-    """LAPACK's dgtsv, dgttrf and dgttrs from scipy's f2py extension module,
-    loaded without running ``scipy`` or ``scipy.linalg`` (on Windows,
-    ``scipy`` has run at import).
-
-    The import system finds scipy's directory and picks the extension file
-    in its ``linalg`` directory.  The module is reused if ``scipy.linalg``
-    loaded it first, and otherwise registered under its own name, so a later
-    ``import scipy.linalg`` reuses it: both see the same function objects."""
-    module = sys.modules.get(_FLAPACK)
-    if module is None:
-        package = importlib.util.find_spec("scipy")
-        if package is None:
-            raise ImportError("acidfront needs scipy, which is not installed")
-        linalg = str(Path(package.origin).parent / "linalg")
-        spec = importlib.machinery.PathFinder.find_spec(_FLAPACK, [linalg])
-        if spec is None:
-            raise ImportError(f"scipy has no LAPACK extension in {linalg}")
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[_FLAPACK] = module
-        spec.loader.exec_module(module)
-    return module.dgtsv, module.dgttrf, module.dgttrs
+def _address(array: np.ndarray) -> int:
+    """Address of a writable contiguous array (cheaper than ``array.ctypes.data``)."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(array))
 
 
-dgtsv, dgttrf, dgttrs = _lapack_routines()
+class _Lapack:
+    """LAPACK's dgtsv, dgttrf and dgttrs as ctypes functions whose integer
+    arguments have the dtype ``index``: int64 (ILP64) or int32 (LP64).
+
+    Every argument goes as a pointer object (``c_void_p`` or ``byref``):
+    ctypes would pass a bare Python int as a C int.  ``argtypes`` stay
+    undeclared, because converting through them cost about 0.5 us per
+    call, a microsecond per step.  dgttrs also gets the hidden length of
+    its character argument last, which an entry point that takes none
+    ignores."""
+
+    def __init__(self, gtsv, gttrf, gttrs, index):
+        for routine in (gtsv, gttrf, gttrs):
+            routine.restype = None
+        self.gtsv, self.gttrf, self.gttrs = gtsv, gttrf, gttrs
+        self.index = np.dtype(index)
+        self.integer = ctypes.c_int64 if self.index.itemsize == 8 else ctypes.c_int32
+        self.one = self.size(1)
+
+    def size(self, n: int):
+        """An integer argument of value ``n``."""
+        return ctypes.byref(self.integer(n))
+
+
+def _numpy_openblas():
+    """The OpenBLAS file numpy's wheel bundles, or None."""
+    for directory in _BUNDLE_DIRS:
+        found = sorted(directory.glob(_BUNDLE_GLOB))
+        if found:
+            return found[0]
+    return None
+
+
+def _bind(find=_numpy_openblas) -> _Lapack:
+    """The three routines from the OpenBLAS that ``find`` returns (numpy's,
+    ILP64), or, if it returns None, from the capsules of scipy's Cython
+    LAPACK (LP64).  Importing that module runs ``scipy.linalg``'s
+    ``__init__``, about 0.3 s of start-up that only the fallback pays."""
+    path = find()
+    if path is not None:
+        library = ctypes.CDLL(str(path))
+        return _Lapack(*(getattr(library, f"scipy_{name}_64_") for name in _ROUTINES), np.int64)
+    try:
+        from scipy.linalg.cython_lapack import __pyx_capi__ as capsules
+    except ImportError as error:
+        searched = " and ".join(str(d) for d in _BUNDLE_DIRS)
+        raise ImportError(
+            f"acidfront found no LAPACK: no {_BUNDLE_GLOB} (numpy's bundled OpenBLAS) in "
+            f"{searched}, and scipy.linalg.cython_lapack did not import ({error})"
+        ) from None
+
+    api = ctypes.pythonapi
+    name_of = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    pointer_of = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api)
+    )
+
+    def entry_point(name):
+        capsule = capsules[name]
+        return ctypes.CFUNCTYPE(None)(pointer_of(capsule, name_of(capsule)))
+
+    return _Lapack(*(entry_point(name) for name in _ROUTINES), np.int32)
+
+
+_LAPACK = _bind()
 
 # How far a step count (T - t0)/dt may sit from a whole number and still
 # count as that number (float noise: 0.055/0.011 = 5.000000000000001).
@@ -191,11 +242,13 @@ class SimulationState:
         )
 
     def unstack(self) -> tuple:
-        """One state per run of a batch state (the state itself for one run)."""
+        """One state per run of a batch state (the state itself for one run),
+        each with its own copy of its fields: a view of a row would keep
+        every run of the batch alive for as long as one run's state lives."""
         if self.u.ndim == 1:
             return (self,)
         return tuple(
-            SimulationState._trusted(self.mesh, self.time, u, v, w)
+            SimulationState._trusted(self.mesh, self.time, u.copy(), v.copy(), w.copy())
             for u, v, w in zip(self.u, self.v, self.w)
         )
 
@@ -299,6 +352,13 @@ class _BackwardEuler:
         np.subtract(1.0, diag, out=diag)
         return off[1], diag, off[0]
 
+    def pointers(self) -> tuple:
+        """Pointers to the bands (sub, diag, super) that ``bands`` writes:
+        LAPACK's dl, d and du."""
+        base, n, item = _address(self._flat), self._diag.size, self._flat.itemsize
+        at = ctypes.c_void_p
+        return at(base + (n + 1) * item), at(base + 2 * n * item), at(base)
+
 
 def assemble_implicit_v(
     u_next: np.ndarray,
@@ -339,21 +399,36 @@ def solve_tridiagonal(sys: TridiagonalSystem) -> np.ndarray:
     The assembled systems are strictly diagonally dominant so a zero pivot
     cannot occur for them; singular input is still caught and reported.
     """
-    *_, x, info = dgtsv(sys.sub, sys.diag, sys.super, sys.rhs)
-    if info:
-        raise InstabilityError(_SINGULAR.format(info))
-    return x
+    lapack, n = _LAPACK, sys.diag.size
+    # LAPACK overwrites the bands and the right-hand side: it gets copies,
+    # in one buffer [dl | d | du | b].
+    buffer = np.concatenate((sys.sub, sys.diag, sys.super, sys.rhs), axis=None)
+    base, item, size, info = _address(buffer), buffer.itemsize, lapack.size(n), lapack.integer()
+    at = ctypes.c_void_p
+    lapack.gtsv(
+        size, lapack.one, at(base), at(base + (n - 1) * item), at(base + (2 * n - 1) * item),
+        at(base + (3 * n - 2) * item), size, ctypes.byref(info),
+    )
+    if info.value:
+        raise InstabilityError(_SINGULAR.format(info.value))
+    return buffer[3 * n - 2 :].copy()
 
 
 def _factor_acid(A_cells: np.ndarray, opts: SchemeOptions, widths: np.ndarray, block: int):
-    """LU factors (LAPACK gttrf) of the acid matrix I - dt*L_A: gttrs's
-    arguments before b.  Overwrites the float array ``A_cells``."""
+    """LU factors (LAPACK gttrf) of the acid matrix I - dt*L_A: the arrays
+    that hold them (bands, du2, ipiv) and gttrs's pointers to them (dl, d,
+    du, du2, ipiv).  Overwrites the float array ``A_cells``."""
+    lapack, n = _LAPACK, widths.size
     system = _BackwardEuler(widths, block, opts.dt)
-    bands = system.bands(system.kappa(A_cells))
-    *factors, info = dgttrf(*bands, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
-    if info:
-        raise InstabilityError(f"singular acid matrix (LAPACK gttrf info={info})")
-    return tuple(factors)
+    system.bands(system.kappa(A_cells))
+    # LAPACK's du2 has n - 2 entries; a pointer to a one-cell array stands in for none
+    du2, ipiv = np.empty(max(n - 2, 1)), np.empty(n, lapack.index)
+    pointers = (*system.pointers(), ctypes.c_void_p(_address(du2)), ctypes.c_void_p(_address(ipiv)))
+    info = lapack.integer()
+    lapack.gttrf(lapack.size(n), *pointers, ctypes.byref(info))
+    if info.value:
+        raise InstabilityError(f"singular acid matrix (LAPACK gttrf info={info.value})")
+    return (system._flat, du2, ipiv), pointers
 
 
 def _history(s: SimulationState, rows: int) -> np.ndarray:
@@ -369,7 +444,11 @@ class _Stepper:
     and one row of A_cells each: what it holds fixed (the kinetics, the acid
     LU factors and the tumour system) and the ``history`` block it steps in,
     whose row 0 (see ``_history``) is the only copy of the fields it starts from.
-    It empties the list ``A_cells`` into the one copy of A that it factors."""
+    It empties the list ``A_cells`` into the one copy of A that it factors.
+
+    The arguments of both LAPACK solves are built once per history row: the
+    tumour bands, or the acid factors, then the row's v, or w, as the
+    right-hand side, and the row's two slots of ``_info`` for INFO."""
 
     def __init__(self, history: np.ndarray, mesh: Mesh, A_cells: list, params, opts: SchemeOptions):
         block, runs = mesh.n_cells, history.shape[-1] // mesh.n_cells
@@ -383,7 +462,8 @@ class _Stepper:
         if any(q.D != params[0].D for q in params):
             raise ValueError("the runs of a batch must share the tumour diffusivity D")
         widths = np.tile(mesh.widths, runs) if runs > 1 else mesh.widths
-        self._acid_lu = _factor_acid(A, opts, widths, block)
+        # _acid_lu holds the factors that the pointers ``acid`` point to
+        self._acid_lu, acid = _factor_acid(A, opts, widths, block)
         del A  # before the buffers below are allocated
         self._dt = opts.dt
         # Rows d, r and c: one column for one run, each run's values over its
@@ -391,89 +471,98 @@ class _Stepper:
         kinetics = np.array([[q.d, q.r, q.c] for q in params], dtype=float).T
         if runs > 1:
             kinetics = kinetics.repeat(block, axis=1)
-        self._rates = kinetics[:2]
+        self._rates, self._c = kinetics[:2], kinetics[2]
         self._tumour = _BackwardEuler(widths, block, params[0].D * opts.dt)
-        # Work rows d*w, r*v and c (see _step): [d*w, r*v] and [r*v, c] are
-        # each the operand or result of one call.
-        self._work = np.empty((3, history.shape[-1]))
-        self._work[2] = kinetics[2]
+        # Work rows d*w and r*v (see _step), the result of one call.
+        self._work = np.empty((2, history.shape[-1]))
         self.history = history
         # Each row with the views a step reads and writes, made once:
-        # (u, v, w), u, v, w, (u, v), (v, w) and (w, v).
-        self._rows = [(row, *row, row[:2], row[1:], row[2:0:-1]) for row in self.history]
+        # (u, v, w), u, v, w, (u, v) and (w, v).
+        self._rows = [(row, *row, row[:2], row[2:0:-1]) for row in self.history]
+        # The two solves of the step that writes row j: its v and w (fields
+        # 3j + 1 and 3j + 2 of the history) and its INFO slots (2j, 2j + 1).
+        lapack, (rows, _, n) = _LAPACK, history.shape
+        self._info = np.zeros((rows, 2), lapack.index)
+        fields, info = _address(history), _address(self._info)
+        field, slot = n * history.itemsize, self._info.itemsize
+        size, at = lapack.size(n), ctypes.c_void_p
+        tumour = (size, lapack.one, *self._tumour.pointers())
+        acid = (_NO_TRANSPOSE, size, lapack.one, *acid)
+        self._solves = []
+        for j in range(1, rows):
+            v, w = at(fields + (3 * j + 1) * field), at(fields + (3 * j + 2) * field)
+            info_v, info_w = at(info + 2 * j * slot), at(info + (2 * j + 1) * slot)
+            self._solves.append(((*tumour, v, size, info_v), (*acid, w, size, info_w, _TRANS_LENGTH)))
 
     def march(self, m: int, times):
         """Step row 0 of the history m times into rows 1..m; ``times`` holds
         the time of each row.
 
-        Nothing is checked while stepping.  Afterwards one pass over the
-        block finds the first step that broke down, as the checks of a
-        single step would have, in their order: a negative tumour interface
-        coefficient, a failed LAPACK solve (which stops the block), a
-        non-finite field.  Returns (steps, reason): the number of good steps
-        and why the step after them broke down, or None.  Floating point
-        warnings are silenced; the caller reports the breakdown.
+        Nothing is checked while stepping: each LAPACK solve writes its INFO
+        into its row's slot.  Afterwards one pass over the block finds the
+        first step that broke down, as the checks of a single step would
+        have, in their order: a negative tumour interface coefficient, a
+        failed tumour or acid solve, a non-finite field.  Returns (steps,
+        reason): the number of good steps and why the step after them broke
+        down, or None.  Floating point warnings are silenced; the caller
+        reports the breakdown.
         """
         with np.errstate(all="ignore"):
-            done, failure = self._step(m)
-            return self._check(done, failure, times)
+            self._step(m)
+            return self._check(m, times)
 
     def _step(self, m):
-        dt, rates, acid_lu, rows = self._dt, self._rates, self._acid_lu, self._rows
+        dt, rates, c, rows, solves = self._dt, self._rates, self._c, self._rows, self._solves
         interface, bands = self._tumour.kappa, self._tumour.bands
+        gtsv, gttrs = _LAPACK.gtsv, _LAPACK.gttrs
         # The explicit stage is built in the new row itself: 1 - u and 1 - v
-        # go into its u and v, v - w into its w.  The work rows hold d*w, r*v
-        # and c, then the tumour's 1 - u and its interface coefficients.
+        # go into its u and v, v - w into its w.  The work rows hold d*w and
+        # r*v, then the tumour's 1 - u and its interface coefficients.
         work = self._work
-        products, dw, rv_c = work[0:2], work[0], work[1:3]
+        dw, rv = work
         cells, kappa = work[0], work[1, :-1]
         for j in range(m):
-            now, u, v, w, uv, _, wv = rows[j]
-            new, u_new, v_new, w_new, uv_new, vw_new, _ = rows[j + 1]
+            now, u, v, w, uv, wv = rows[j]
+            new, u_new, v_new, w_new, uv_new, _ = rows[j + 1]
             # reaction_u/v/w times dt: the same operations on the same
             # operands, over stacked rows, so each value rounds as theirs.
             np.subtract(1.0, uv, out=uv_new)
-            np.multiply(rates, wv, out=products)
+            np.multiply(rates, wv, out=work)
             np.subtract(u_new, dw, out=u_new)
             np.subtract(v, w, out=w_new)
             np.multiply(u, u_new, out=u_new)
-            np.multiply(rv_c, vw_new, out=vw_new)
+            np.multiply(rv, v_new, out=v_new)
+            np.multiply(c, w_new, out=w_new)
             new *= dt
             new += now
             # Both solves overwrite their right-hand side, the contiguous
             # row of v or w, with the solution.
             np.subtract(1.0, u_new, out=cells)
-            info = dgtsv(*bands(interface(cells, kappa)), v_new, 1, 1, 1, 1)[-1]
-            if info:
-                return j, _SINGULAR.format(info)
-            info = dgttrs(*acid_lu, w_new, overwrite_b=1)[-1]
-            if info:
-                return j, f"acid solve failed (LAPACK gttrs info={info})"
-        return m, None
+            bands(interface(cells, kappa))
+            tumour, acid = solves[j]
+            gtsv(*tumour)
+            gttrs(*acid)
 
-    def _check(self, done: int, failure, times):
-        # A step's tumour coefficients come from its new u, which a step
-        # stopped by LAPACK has written too.
-        history = self.history
-        tried = done + (failure is not None)
-        u = history[1 : tried + 1, 0]
+    def _check(self, m: int, times):
+        history, info = self.history, self._info[1 : m + 1]
+        u = history[1 : m + 1, 0]
         # With no u above 1 every coefficient is >= 0, and a finite block
-        # has no non-finite row: the common case needs two reductions.
-        finite = np.isfinite(history[1 : done + 1])
-        if failure is None and finite.all() and not u.max(initial=0.0) > 1.0:
-            return done, None
-        broken = (self._tumour.kappa(1.0 - u) < 0.0).any(axis=-1)
-        negative = broken.copy()
-        broken[:done] |= ~finite.all(axis=(1, 2))
-        if failure is not None:
-            broken[done] = True
+        # has no non-finite row: the common case needs three reductions.
+        finite = np.isfinite(history[1 : m + 1])
+        if not info.any() and finite.all() and not u.max(initial=0.0) > 1.0:
+            return m, None
+        negative = (self._tumour.kappa(1.0 - u) < 0.0).any(axis=-1)
+        broken = negative | info.any(axis=1) | ~finite.all(axis=(1, 2))
         if not broken.any():
-            return done, None
+            return m, None
         k = int(broken.argmax())
+        tumour, acid = info[k]
         if negative[k]:
             return k, _NEGATIVE_KAPPA
-        if k == done:
-            return k, failure
+        if tumour:
+            return k, _SINGULAR.format(tumour)
+        if acid:
+            return k, f"acid solve failed (LAPACK gttrs info={acid})"
         return k, f"non-finite field values after step from t={float(times[k])!r}"
 
 

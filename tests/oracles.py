@@ -4,10 +4,12 @@ They are written for reading, not speed: the interface coefficients come
 from ``interface_diffusivity_arithmetic`` and the operator from
 ``diffusion_operator``, independently of the band builder the stepper uses,
 and ``harmonic_mean_quadrature`` checks the closed-form harmonic means,
-from the pointwise diffusivity of ``profile_value``.
+from the pointwise diffusivity of ``profile_value``.  The LAPACK routines
+``imex_step`` calls are scipy's, not the package's binding.
 """
 
 import numpy as np
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from acidfront.core import reaction_u, reaction_v, reaction_w
 from acidfront.mesh import (
@@ -18,7 +20,6 @@ from acidfront.mesh import (
     SingleJump,
     Sinusoidal,
 )
-from acidfront.scheme import dgtsv, dgttrf, dgttrs
 
 
 def interface_diffusivity_arithmetic(aL, aR, dxL, dxR):

@@ -590,7 +590,11 @@ class TestRunConfigs:
             alone = run_config(fast)
         assert alone.warnings == (near, gone)
         assert alone.classification is None
-        assert run_config(slow).warnings == ()
+        # a tail averaged after the front left would report a speed it voids
+        assert math.isnan(alone.tail_mean) and math.isnan(alone.tail_peak_to_peak)
+        inside = run_config(slow)
+        assert inside.warnings == ()
+        assert math.isfinite(inside.tail_mean) and math.isfinite(inside.tail_peak_to_peak)
         for cfgs, expected in (([slow, fast], 1), ([fast, slow, slow, fast], 2), ([slow, slow], 0)):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
@@ -600,18 +604,23 @@ class TestRunConfigs:
             for cfg, result in zip(cfgs, results):
                 assert result.config is cfg
                 assert result.warnings == ((near, gone) if cfg is fast else ())
+                assert math.isnan(result.tail_mean) == (cfg is fast)
                 if cfg is fast:
                     assert np.array_equal(result.speed_series.thetas, alone.speed_series.thetas)
+
+    @staticmethod
+    def table3_batch():
+        """Eight table3 presets shortened to T = 2, which march as one batch."""
+        return [
+            dataclasses.replace(preset(f"table3-row{i:02d}-{family}"), T=2.0, snapshots=())
+            for i in (1, 2, 3, 4) for family in ("pc", "sin")
+        ]
 
     def test_speed_series_hold_only_their_own_run(self):
         # a column view of a (steps, B) join of the blocks would keep every
         # run's values alive for as long as any one run's series lives; the
         # time stamps all runs share cannot be written through one of them
-        cfgs = [
-            dataclasses.replace(preset(f"table3-row{i:02d}-{family}"), T=2.0, snapshots=())
-            for i in (1, 2, 3, 4) for family in ("pc", "sin")
-        ]
-        for result in run_configs(cfgs):
+        for result in run_configs(self.table3_batch()):
             thetas = result.speed_series.thetas
             assert thetas.shape == (result.steps,)
             assert not result.speed_series.times.flags.writeable
@@ -620,17 +629,28 @@ class TestRunConfigs:
                 owner = owner.base
             assert owner.nbytes == thetas.nbytes
 
+    def test_final_states_hold_only_their_own_run(self):
+        # a row view of the batch's final fields would keep every run of the
+        # batch alive for as long as one run's final state lives
+        for result in run_configs(self.table3_batch()):
+            for name in ("u", "v", "w"):
+                field = getattr(result.final_state, name)
+                assert field.base is None, name
+                assert not field.flags.writeable
+
     def test_empty(self):
         assert run_configs([]) == []
 
 
 class TestWorkingSet:
-    """A 20 000-cell run's memory is its N-float arrays, 21.6 of them at the
-    traced peak.  While it marches it holds 20.5: the history, two rows of
+    """A 20 000-cell run's memory is its N-float arrays, 21.1 of them at the
+    traced peak.  While it marches it holds 20: the history, two rows of
     (u, v, w), 6 (row 0 is the only copy of the initial fields); the band
     buffers of the two builders, 6; the mesh, 3 (one mesh, which the
-    snapshot writer shares); the work rows, 3; the acid factors' du2 and
-    ipiv, 1.5; the tumour builder's width sums, 1.  The peak is the
+    snapshot writer shares); the work rows d*w and r*v, 2 (c is read from
+    the kinetics, not copied into a row); the acid factors' du2 and
+    ipiv, 2 (the pivots are int64, for the ILP64 OpenBLAS numpy bundles);
+    the tumour builder's width sums, 1.  The peak is the
     wave-speed recorder's pass over a block, which adds the difference of
     two rows of v.  Building the stepper stays below it: the stepper
     factors the run's one copy of A in place and frees it before it

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import subprocess
 import sys
 import warnings
 
@@ -9,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.linalg.lapack import dgtsv as scipy_dgtsv
 
 from acidfront.core import ModelParameters
 from acidfront.analysis import PositivityRecorder, WaveSpeedRecorder
@@ -70,40 +70,45 @@ def gaussian_elimination(matrix, rhs):
     return x
 
 
-class TestLapackRoutines:
-    @pytest.mark.parametrize("first, second", [
-        ("acidfront.scheme", "scipy.linalg.lapack"),
-        ("scipy.linalg.lapack", "acidfront.scheme"),
-    ])
-    def test_same_objects_as_scipy_linalg(self, first, second):
-        # scheme loads scipy's LAPACK extension itself; a scipy that moved it
-        # must fail here, not hand the solver other routines
-        code = (
-            f"import {first}, {second}\n"
-            "import acidfront.scheme as s, scipy.linalg.lapack as lapack\n"
-            "print([getattr(s, n) is getattr(lapack, n) for n in ('dgtsv', 'dgttrf', 'dgttrs')])\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "[True, True, True]\n"
+class TestLapackBinding:
+    """The three LAPACK routines come from numpy's bundled OpenBLAS where
+    numpy ships one, and from scipy's Cython LAPACK where it does not."""
 
-    def test_missing_extension_is_an_import_error(self, tmp_path):
-        # outside Windows the package's __init__ is not run, so the error
-        # names the directory searched, not scipy's version
-        (tmp_path / "scipy").mkdir()
-        (tmp_path / "scipy" / "__init__.py").write_text("__version__ = '0.0'\n")
-        code = f"import sys\nsys.path.insert(0, {str(tmp_path)!r})\nimport acidfront.scheme\n"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert proc.returncode == 1
-        linalg = tmp_path / "scipy" / "linalg"
-        assert f"ImportError: scipy has no LAPACK extension in {linalg}\n" in proc.stderr
+    @staticmethod
+    def march(lapack, monkeypatch):
+        """Five steps of a three-run batch and a one-off solve, with the
+        routines of ``lapack``."""
+        monkeypatch.setattr(scheme, "_LAPACK", lapack)
+        mesh = TestBackwardEulerBuilder.MESHES["rounded"]
+        params = TestStepBitForBit.PARAMS
+        rng = np.random.default_rng(5)
+        fields = rng.uniform(0.0, 1.0, (3, 3, mesh.n_cells))
+        A_cells = rng.uniform(0.01, 2.0, (3, mesh.n_cells))
+        state = SimulationState(mesh, 0.0, *fields)
+        stepper = scheme._Stepper(
+            scheme._history(state, 6), mesh, [A_cells], params, SchemeOptions(dt=0.01))
+        assert stepper.march(5, 0.01 * np.arange(6)) == (5, None)
+        system = assemble_implicit_w(A_cells[0], fields[2, 0], SchemeOptions(dt=0.01), mesh)
+        return stepper.history.tobytes() + solve_tridiagonal(system).tobytes()
 
-    @pytest.mark.skipif(sys.platform == "win32", reason="scheme imports scipy itself there")
-    def test_missing_scipy_is_an_import_error(self):
-        code = "import sys\nsys.modules['scipy'] = None\nimport acidfront.scheme\n"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert proc.returncode == 1
-        assert "ImportError: acidfront needs scipy, which is not installed\n" in proc.stderr
+    def test_capsule_fallback_marches_like_the_default(self, monkeypatch):
+        # a finder that returns nothing stands for a numpy with no bundled OpenBLAS
+        fallback = scheme._bind(lambda: None)
+        assert fallback.index == np.int32
+        assert self.march(fallback, monkeypatch) == self.march(scheme._LAPACK, monkeypatch)
+
+    def test_no_library_is_an_import_error(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "scipy.linalg.cython_lapack", None)
+        with pytest.raises(ImportError) as caught:
+            scheme._bind(lambda: None)
+        message = str(caught.value)
+        assert message.startswith("acidfront found no LAPACK: no libscipy_openblas64_* ")
+        for searched in (*scheme._BUNDLE_DIRS, "scipy.linalg.cython_lapack"):
+            assert str(searched) in message
+
+    @pytest.mark.skipif(scheme._numpy_openblas() is None, reason="numpy bundles no OpenBLAS")
+    def test_numpy_openblas_is_the_default(self):
+        assert scheme._LAPACK.index == np.int64
 
 
 class TestInterfaceAverages:
@@ -223,6 +228,21 @@ class TestSolveTridiagonal:
         x = solve_tridiagonal(sys)
         residual = dense(sys) @ x - rhs
         assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(rhs))
+
+    def test_equals_scipy_gtsv_and_leaves_the_system(self):
+        # the package binds LAPACK itself; scipy's build must give the same bits
+        rng = np.random.default_rng(11)
+        for n in (2, 3, 40, 3000):
+            for scale in (1e-3, 1.0, 1e7):
+                sub, sup = (rng.uniform(-scale, scale, n - 1) for _ in range(2))
+                diag = 1.0 + np.abs(np.pad(sub, (1, 0))) + np.abs(np.pad(sup, (0, 1)))
+                rhs = rng.uniform(-1.0, 1.0, n)
+                system = TridiagonalSystem(sub, diag, sup, rhs)
+                before = [a.copy() for a in (sub, diag, sup, rhs)]
+                expected = scipy_dgtsv(sub, diag, sup, rhs)[3]
+                assert solve_tridiagonal(system).tobytes() == expected.tobytes()
+                for a, b in zip((system.sub, system.diag, system.super, system.rhs), before):
+                    assert np.array_equal(a, b)
 
     def test_singular_system_raises(self):
         sys = TridiagonalSystem(np.zeros(2), np.zeros(3), np.zeros(2), np.ones(3))
