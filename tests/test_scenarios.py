@@ -165,6 +165,13 @@ class TestPresets:
         with pytest.raises(ConfigurationError, match="unknown preset"):
             preset(alias)
 
+    @pytest.mark.parametrize("name", ["growth-r10-w50-d30", "growth-r10-w50-d60"])
+    def test_escaping_growth_presets_are_gone(self, name):
+        # their fronts left [0, 2.5] before T = 40, so they never classified
+        assert name not in preset_names()
+        with pytest.raises(ConfigurationError, match="unknown preset"):
+            preset(name)
+
     def test_growth_preset(self):
         cfg = preset("growth-r10-w50-d0.5")
         assert cfg.params.r == 10.0

@@ -1,6 +1,8 @@
+import ctypes
 import dataclasses
 import math
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -470,9 +472,12 @@ class TestStepBitForBit:
         ModelParameters(d=30.0, r=0.7, D=4e-3, c=3.0),
     )
 
+    @pytest.mark.parametrize("overlap", [False, True], ids=["serial", "overlap"])
     @pytest.mark.parametrize("runs", [1, 3])
     @pytest.mark.parametrize("kind", ["uniform", "rounded"])
-    def test_two_steps_equal_reference(self, kind, runs):
+    def test_two_steps_equal_reference(self, monkeypatch, kind, runs, overlap):
+        # the acid solve on the helper thread gives the same bytes
+        monkeypatch.setattr(scheme, "_OVERLAP_CELLS", 0 if overlap else math.inf)
         mesh = TestBackwardEulerBuilder.MESHES[kind]
         n, params = mesh.n_cells, self.PARAMS[:runs]
         rng = np.random.default_rng(31)
@@ -486,7 +491,11 @@ class TestStepBitForBit:
         opts = SchemeOptions(dt=0.01)
         state = SimulationState(mesh, 0.0, *(f[0] if runs == 1 else f for f in fields))
         stepper = scheme._Stepper(scheme._history(state, 3), mesh, [A_cells], params, opts)
-        assert stepper.march(2, (0.0, 0.01, 0.02)) == (2, None)
+        try:
+            assert stepper.march(2, (0.0, 0.01, 0.02)) == (2, None)
+            assert (stepper._helper is not None) == overlap
+        finally:
+            stepper.close()
         first = imex_step(fields.reshape(3, -1), A_cells, params, opts, mesh)
         second = imex_step(first, A_cells, params, opts, mesh)
         assert stepper.history[1:3].tobytes() == np.array([first, second]).tobytes()
@@ -785,6 +794,7 @@ class TestBlocks:
             assert np.array_equal(fields, np.stack([state.u, state.v, state.w]))
 
     @pytest.mark.filterwarnings("ignore::acidfront.errors.StabilityWarning")
+    @pytest.mark.parametrize("overlap", [False, True], ids=["serial", "overlap"])
     @pytest.mark.parametrize("per_block", [1, 2, 3, 4, 5, 8])
     @pytest.mark.parametrize(
         "kind, u0, v0, p, dt",
@@ -796,7 +806,7 @@ class TestBlocks:
             ("non-finite field values", 0.0, 0.5, raw_params(d=1.0, r=1000.0, D=1e-3, c=1.0), 1.0),
         ],
     )
-    def test_breakdown_reported_at_its_step(self, monkeypatch, per_block, kind, u0, v0, p, dt):
+    def test_breakdown_reported_at_its_step(self, monkeypatch, per_block, kind, u0, v0, p, dt, overlap):
         m = build_uniform_mesh(0.0, 1.0, 0.05)
         n = m.n_cells
         s0 = SimulationState(m, 0.0, np.full(n, u0), np.full(n, v0), np.zeros(n))
@@ -814,6 +824,9 @@ class TestBlocks:
                 overshoot += 1
             assert steps == overshoot
         monkeypatch.setattr(scheme, "_BLOCK_BYTES", block_size(per_block, s0))
+        # the single steps above were serial; with the overlap on, the acid
+        # solves of the blocked run go to the helper thread
+        monkeypatch.setattr(scheme, "_OVERLAP_CELLS", 0 if overlap else math.inf)
         kept = {}
         with pytest.raises(InstabilityError) as blocked:
             run(s0, Constant(1.0), p, opts, T=20 * dt, observers=[keep_rows(kept)])
@@ -858,6 +871,124 @@ class TestBlocks:
         kept_u = final.u.copy()
         run(final, Constant(1.0), p, opts, T=0.2)
         assert np.array_equal(final.u, kept_u)
+
+
+class TestHelperThread:
+    """A march of at least _OVERLAP_CELLS cells makes its acid solves on one
+    helper thread, which ``run`` and ``step_imex`` join however the march
+    ends."""
+
+    @staticmethod
+    def threads(monkeypatch, overlap, march):
+        """Threads beyond those alive before ``march(observer)`` runs: as the
+        observer sees them at each block, and once the march has returned or
+        raised."""
+        monkeypatch.setattr(scheme, "_OVERLAP_CELLS", overlap)
+        before, seen = threading.active_count(), []
+
+        def observe(first, times, fields):
+            seen.append(threading.active_count() - before)
+
+        try:
+            march(observe)
+        except (InstabilityError, RuntimeError):
+            pass
+        return seen, threading.active_count() - before
+
+    @staticmethod
+    def state(n, u0=None):
+        """A tumour edge at x = 0.25 in intact tissue, or, given ``u0``,
+        healthy tissue of that density alone."""
+        m = build_uniform_mesh(0.0, 1.0, 1.0 / n)
+        v0 = np.where(m.centers < 0.25, 1.0, 0.0) if u0 is None else np.zeros(n)
+        return SimulationState(m, 0.0, 1.0 - v0 if u0 is None else np.full(n, u0), v0, np.zeros(n))
+
+    @pytest.mark.filterwarnings("ignore::acidfront.errors.StabilityWarning")
+    def test_run_leaves_no_thread(self, monkeypatch):
+        s0, p, opts = self.state(20), reference_params(), SchemeOptions(dt=0.01)
+        monkeypatch.setattr(scheme, "_BLOCK_BYTES", block_size(2, s0))
+
+        def normal(observe):
+            run(s0, Constant(1.0), p, opts, T=0.1, observers=[observe])
+
+        def instability(observe):
+            # the healthy logistic u + dt*u*(1 - u) overshoots 1 on the fifth step
+            s = self.state(20, u0=0.01)
+            run(s, Constant(1.0), raw_params(d=1.0, r=1.0, D=1e-3, c=1.0), SchemeOptions(dt=2.5), T=50.0,
+                observers=[observe])
+
+        def observer_raises(observe):
+            def observe_then_raise(first, times, fields):
+                observe(first, times, fields)
+                if first > 0:
+                    raise RuntimeError("observer failed")
+
+            normal(observe_then_raise)
+
+        def zero_steps(observe):
+            run(s0, Constant(1.0), p, opts, T=0.0, observers=[observe])
+
+        # blocks of two steps: the helper is alive at each block the
+        # observers see, and joined once the run returns or raises
+        for march, blocks in ((normal, 5), (instability, 2), (observer_raises, 2), (zero_steps, 0)):
+            assert self.threads(monkeypatch, 0, march) == ([1] * blocks, 0), march.__name__
+
+    def test_step_imex_leaves_no_thread(self, monkeypatch):
+        s, p = self.state(20, u0=0.5), raw_params(d=1.0, r=1.0, D=1e-3, c=1.0)
+        for dt in (0.01, 2.5):  # a good step, then one that breaks down
+            march = lambda _: step_imex(s, np.ones(20), p, SchemeOptions(dt=dt))  # noqa: E731
+            assert self.threads(monkeypatch, 0, march) == ([], 0)
+
+    def test_close_right_after_a_handover(self):
+        # as when a march raises between handing a solve over and waiting
+        # for it: close ends the thread whether or not it took the solve
+        calls = []
+        helper = scheme._Helper(lambda *args: calls.append(args))
+        helper.start((1,))
+        helper.wait()
+        helper.start((2,))
+        helper.close()
+        assert not helper._thread.is_alive()
+        assert calls in ([(1,)], [(1,), (2,)])
+
+    def test_a_failed_solve_is_raised_by_wait(self):
+        def solve(*args):
+            raise ctypes.ArgumentError("argument 1: wrong type")
+
+        helper = scheme._Helper(solve)
+        try:
+            helper.start((1,))
+            with pytest.raises(ctypes.ArgumentError, match="wrong type"):
+                helper.wait()
+        finally:
+            helper.close()
+        assert not helper._thread.is_alive()
+
+    def test_fast_thread_switching_keeps_the_bytes(self, monkeypatch):
+        # the interpreter offers the GIL to the other thread every
+        # microsecond: a solve that ran out of turn would change a byte
+        s0, p, opts = self.state(2000), reference_params(), SchemeOptions(dt=0.01)
+        monkeypatch.setattr(scheme, "_OVERLAP_CELLS", math.inf)
+        serial = run(s0, Constant(1.0), p, opts, T=0.5)
+        monkeypatch.setattr(scheme, "_OVERLAP_CELLS", 0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            overlapped = run(s0, Constant(1.0), p, opts, T=0.5)
+        finally:
+            sys.setswitchinterval(interval)
+        for name in ("u", "v", "w"):
+            assert getattr(overlapped, name).tobytes() == getattr(serial, name).tobytes(), name
+
+    def test_one_cpu_value_starts_no_thread(self, monkeypatch):
+        s0 = self.state(2000)
+
+        def march(observe):
+            run(s0, Constant(1.0), reference_params(), SchemeOptions(dt=0.01), T=0.03, observers=[observe])
+
+        assert self.threads(monkeypatch, math.inf, march) == ([0], 0)
+        # the same march at the size the overlap starts at
+        assert self.threads(monkeypatch, 2000, march) == ([1], 0)
 
 
 class TestReactionLimit:
