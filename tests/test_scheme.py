@@ -900,8 +900,10 @@ class TestHelperThread:
         """A tumour edge at x = 0.25 in intact tissue, or, given ``u0``,
         healthy tissue of that density alone."""
         m = build_uniform_mesh(0.0, 1.0, 1.0 / n)
-        v0 = np.where(m.centers < 0.25, 1.0, 0.0) if u0 is None else np.zeros(n)
-        return SimulationState(m, 0.0, 1.0 - v0 if u0 is None else np.full(n, u0), v0, np.zeros(n))
+        if u0 is not None:
+            return SimulationState(m, 0.0, np.full(n, u0), np.zeros(n), np.zeros(n))
+        v0 = np.where(m.centers < 0.25, 1.0, 0.0)
+        return SimulationState(m, 0.0, 1.0 - v0, v0, np.zeros(n))
 
     @pytest.mark.filterwarnings("ignore::acidfront.errors.StabilityWarning")
     def test_run_leaves_no_thread(self, monkeypatch):
