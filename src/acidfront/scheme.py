@@ -56,9 +56,11 @@ read only the new u.  No value is read by one thread while the other
 writes it, and each solve does the same operations on the same operands as
 when the two run one after the other, so the numbers cannot change.  The
 next step starts after the wait.  ctypes releases the GIL inside both
-calls.  Below _OVERLAP_CELLS (and on a process that may use one CPU) the
-handoff would cost more than the solve, so the marching thread calls gttrs
-itself at the same point of the step.
+calls.  The helper lives for the ``with`` statement around ``run``'s march
+loop, which joins it however the loop ends.  Below _OVERLAP_CELLS (and on a
+process that may use one CPU) the handoff would cost more than the solve,
+so the marching thread calls gttrs itself at the same point of the step, as
+``step_imex`` always does.
 
 ``run`` is the hot loop, and it marches in blocks.  Each step writes its
 fields into the next row of one preallocated (K+1, 3, B*N) history array
@@ -99,6 +101,7 @@ import math
 import os
 import threading
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -477,8 +480,9 @@ class _Helper:
     """A thread that makes the acid solves of a march: ``start(args)`` hands
     it one dgttrs call and ``wait()`` returns once that call is done.  ctypes
     releases the GIL inside the call, so it runs while the marching thread
-    builds and solves the tumour system.  ``close`` lets a solve that the
-    thread has taken finish, then ends the thread and joins it.
+    builds and solves the tumour system.  The thread starts when the helper
+    is built; leaving its ``with`` statement lets a solve that the thread has
+    taken finish, then ends the thread and joins it.
 
     Two locks, held while idle, pass the turns: the marching thread
     releases ``_go`` to hand over ``_args``, the helper releases ``_done``
@@ -510,7 +514,10 @@ class _Helper:
         if self._error is not None:
             raise self._error
 
-    def close(self):
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
         self._args = None
         # _go is free only while a handed-over solve waits to be taken; the
         # helper then takes None instead and ends.  Only this thread frees
@@ -529,11 +536,9 @@ class _Stepper:
 
     The arguments of both LAPACK solves are built once per history row: the
     tumour bands, or the acid factors, then the row's v, or w, as the
-    right-hand side, and the row's two slots of ``_info`` for INFO.
-
-    A march of at least _OVERLAP_CELLS cells makes its acid solves on a
-    ``_Helper`` thread, which its first ``march`` starts; whoever builds the
-    stepper calls ``close`` once it is done marching, which joins it."""
+    right-hand side, and the row's two slots of ``_info`` for INFO.  The
+    stepper holds no thread: ``march`` makes its acid solves on the
+    ``_Helper`` it is given, or itself."""
 
     def __init__(self, history: np.ndarray, mesh: Mesh, A_cells: list, params, opts: SchemeOptions):
         block, runs = mesh.n_cells, history.shape[-1] // mesh.n_cells
@@ -578,11 +583,11 @@ class _Stepper:
             v, w = at(fields + (3 * j + 1) * field), at(fields + (3 * j + 2) * field)
             info_v, info_w = at(info + 2 * j * slot), at(info + (2 * j + 1) * slot)
             self._solves.append(((*tumour, v, size, info_v), (*acid, w, size, info_w, _TRANS_LENGTH)))
-        self._helper = None
 
-    def march(self, m: int, times):
+    def march(self, m: int, times, helper=None):
         """Step row 0 of the history m times into rows 1..m; ``times`` holds
-        the time of each row.
+        the time of each row.  The acid solves go to ``helper``, a running
+        ``_Helper``, if one is given.
 
         Nothing is checked while stepping: each LAPACK solve writes its INFO
         into its row's slot.  Afterwards one pass over the block finds the
@@ -593,19 +598,11 @@ class _Stepper:
         down, or None.  Floating point warnings are silenced; the caller
         reports the breakdown.
         """
-        if self._helper is None and self.history.shape[-1] >= _OVERLAP_CELLS:
-            self._helper = _Helper(_LAPACK.gttrs)
         with np.errstate(all="ignore"):
-            self._step(m)
+            self._step(m, helper)
             return self._check(m, times)
 
-    def close(self):
-        """Join the helper thread, if a march started one."""
-        if self._helper is not None:
-            self._helper.close()
-            self._helper = None
-
-    def _step(self, m):
+    def _step(self, m, helper):
         dt, rates, c, rows, solves = self._dt, self._rates, self._c, self._rows, self._solves
         interface, bands = self._tumour.kappa, self._tumour.bands
         gtsv, gttrs = _LAPACK.gtsv, _LAPACK.gttrs
@@ -615,7 +612,6 @@ class _Stepper:
         work = self._work
         dw, rv = work
         cells, kappa = work[0], work[1, :-1]
-        helper = self._helper
         for j in range(m):
             now, u, v, w, uv, wv = rows[j]
             new, u_new, v_new, w_new, uv_new, _ = rows[j + 1]
@@ -681,16 +677,13 @@ def step_imex(
     opts: SchemeOptions,
 ) -> SimulationState:
     """Advance the state by one IMEX step of size opts.dt: the march of
-    ``run`` with a block of one step.
+    ``run`` with a block of one step, both solves on the calling thread.
 
     For a batch state, ``A_cells`` has the state's (B, N) shape and ``p``
     holds one ModelParameters per run.
     """
     stepper = _Stepper(_history(s, 2), s.mesh, [A_cells], _per_run(p, ModelParameters), opts)
-    try:
-        _, reason = stepper.march(1, (s.time,))
-    finally:
-        stepper.close()
+    _, reason = stepper.march(1, (s.time,))
     if reason is not None:
         raise InstabilityError(reason, time=s.time)
     return SimulationState._trusted(
@@ -750,8 +743,8 @@ def run(
     Instability aborts the run with the failing step index and time, after
     the observers have seen the rows before that step.  The returned state
     holds copies of the final fields.  A march of at least _OVERLAP_CELLS
-    cells makes its acid solves on a helper thread, which ``run`` joins
-    before it returns or raises.
+    cells makes its acid solves on a helper thread that lives for the march
+    loop alone, so it is joined before ``run`` returns or raises.
     """
     if T < s0.time:
         raise ValueError(f"final time {T!r} precedes state time {s0.time!r}")
@@ -786,13 +779,13 @@ def run(
     shown = times.view()
     shown.flags.writeable = False
     first = 0
-    # A breakdown, an observer that raises or an interrupt leaves no helper
-    # thread writing into the history.
-    try:
+    # A breakdown, an observer that raises or an interrupt leaves the loop
+    # through the with statement, so no helper writes into the history after.
+    with _Helper(_LAPACK.gttrs) if history.shape[-1] >= _OVERLAP_CELLS else nullcontext() as helper:
         while first < n_steps:
             m = min(size, n_steps - first)
             np.add.accumulate(increments[: m + 1], out=times[: m + 1])
-            good, reason = stepper.march(m, times)
+            good, reason = stepper.march(m, times, helper)
             if good:
                 for observer in observers:
                     observer(first, shown[: good + 1], fields[: good + 1])
@@ -804,8 +797,6 @@ def run(
             history[0] = history[m]
             increments[0] = times[m]
             first += m
-    finally:
-        stepper.close()
     del stepper  # releases its buffers before the final fields are copied
     return SimulationState._trusted(
         mesh, float(increments[0]), *(f.reshape(shape) for f in history[0].copy())

@@ -1,7 +1,9 @@
+import warnings
+
 import pytest
 
 from acidfront.core import ModelParameters
-from acidfront.scenarios import preset, run_config
+from acidfront.scenarios import preset, preset_names, run_configs
 
 
 def raw_params(d: float, r: float, D: float, c: float) -> ModelParameters:
@@ -18,14 +20,19 @@ def raw_params(d: float, r: float, D: float, c: float) -> ModelParameters:
 
 
 @pytest.fixture(scope="session")
-def preset_run():
-    """Session-cached preset runner: heavy reference runs are shared
-    between the acceptance criteria and the scenario tests."""
-    cache = {}
+def catalog_runs():
+    """The RunResult of every catalog preset by name, from one
+    ``run_configs`` call, and the Python warnings that call raised."""
+    names = preset_names()
+    with warnings.catch_warnings(record=True) as raised:
+        warnings.simplefilter("always")
+        results = run_configs([preset(name) for name in names])
+    return dict(zip(names, results)), raised
 
-    def get(name: str):
-        if name not in cache:
-            cache[name] = run_config(preset(name))
-        return cache[name]
 
-    return get
+@pytest.fixture(scope="session")
+def preset_run(catalog_runs):
+    """A preset's RunResult by name: the heavy reference runs are one batch
+    over the catalog, shared by the acceptance criteria and the scenario
+    tests."""
+    return catalog_runs[0].__getitem__

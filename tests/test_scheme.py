@@ -1,3 +1,4 @@
+import contextlib
 import ctypes
 import dataclasses
 import math
@@ -77,9 +78,10 @@ class TestLapackBinding:
     numpy ships one, and from scipy's Cython LAPACK where it does not."""
 
     @staticmethod
-    def march(lapack, monkeypatch):
+    def march(lapack, monkeypatch, overlap=False):
         """Five steps of a three-run batch and a one-off solve, with the
-        routines of ``lapack``."""
+        routines of ``lapack``; with ``overlap``, the acid solves on a helper
+        thread."""
         monkeypatch.setattr(scheme, "_LAPACK", lapack)
         mesh = TestBackwardEulerBuilder.MESHES["rounded"]
         params = TestStepBitForBit.PARAMS
@@ -89,15 +91,18 @@ class TestLapackBinding:
         state = SimulationState(mesh, 0.0, *fields)
         stepper = scheme._Stepper(
             scheme._history(state, 6), mesh, [A_cells], params, SchemeOptions(dt=0.01))
-        assert stepper.march(5, 0.01 * np.arange(6)) == (5, None)
+        with scheme._Helper(lapack.gttrs) if overlap else contextlib.nullcontext() as helper:
+            assert stepper.march(5, 0.01 * np.arange(6), helper) == (5, None)
         system = assemble_implicit_w(A_cells[0], fields[2, 0], SchemeOptions(dt=0.01), mesh)
         return stepper.history.tobytes() + solve_tridiagonal(system).tobytes()
 
-    def test_capsule_fallback_marches_like_the_default(self, monkeypatch):
+    @pytest.mark.parametrize("overlap", [False, True], ids=["serial", "overlap"])
+    def test_capsule_fallback_marches_like_the_default(self, monkeypatch, overlap):
         # a finder that returns nothing stands for a numpy with no bundled OpenBLAS
         fallback = scheme._bind(lambda: None)
         assert fallback.index == np.int32
-        assert self.march(fallback, monkeypatch) == self.march(scheme._LAPACK, monkeypatch)
+        default = self.march(scheme._LAPACK, monkeypatch)
+        assert self.march(fallback, monkeypatch, overlap) == default
 
     def test_no_library_is_an_import_error(self, monkeypatch):
         monkeypatch.setitem(sys.modules, "scipy.linalg.cython_lapack", None)
@@ -475,9 +480,8 @@ class TestStepBitForBit:
     @pytest.mark.parametrize("overlap", [False, True], ids=["serial", "overlap"])
     @pytest.mark.parametrize("runs", [1, 3])
     @pytest.mark.parametrize("kind", ["uniform", "rounded"])
-    def test_two_steps_equal_reference(self, monkeypatch, kind, runs, overlap):
+    def test_two_steps_equal_reference(self, kind, runs, overlap):
         # the acid solve on the helper thread gives the same bytes
-        monkeypatch.setattr(scheme, "_OVERLAP_CELLS", 0 if overlap else math.inf)
         mesh = TestBackwardEulerBuilder.MESHES[kind]
         n, params = mesh.n_cells, self.PARAMS[:runs]
         rng = np.random.default_rng(31)
@@ -491,11 +495,8 @@ class TestStepBitForBit:
         opts = SchemeOptions(dt=0.01)
         state = SimulationState(mesh, 0.0, *(f[0] if runs == 1 else f for f in fields))
         stepper = scheme._Stepper(scheme._history(state, 3), mesh, [A_cells], params, opts)
-        try:
-            assert stepper.march(2, (0.0, 0.01, 0.02)) == (2, None)
-            assert (stepper._helper is not None) == overlap
-        finally:
-            stepper.close()
+        with scheme._Helper(scheme._LAPACK.gttrs) if overlap else contextlib.nullcontext() as helper:
+            assert stepper.march(2, (0.0, 0.01, 0.02), helper) == (2, None)
         first = imex_step(fields.reshape(3, -1), A_cells, params, opts, mesh)
         second = imex_step(first, A_cells, params, opts, mesh)
         assert stepper.history[1:3].tobytes() == np.array([first, second]).tobytes()
@@ -875,8 +876,8 @@ class TestBlocks:
 
 class TestHelperThread:
     """A march of at least _OVERLAP_CELLS cells makes its acid solves on one
-    helper thread, which ``run`` and ``step_imex`` join however the march
-    ends."""
+    helper thread, which ``run`` starts for its march loop and joins however
+    the loop ends; ``step_imex`` starts none."""
 
     @staticmethod
     def threads(monkeypatch, overlap, march):
@@ -941,15 +942,45 @@ class TestHelperThread:
             march = lambda _: step_imex(s, np.ones(20), p, SchemeOptions(dt=dt))  # noqa: E731
             assert self.threads(monkeypatch, 0, march) == ([], 0)
 
+    def test_step_imex_and_a_zero_step_run_build_no_helper(self, monkeypatch):
+        class Refused:
+            def __init__(self, solve):
+                raise AssertionError("a helper thread was started")
+
+        monkeypatch.setattr(scheme, "_OVERLAP_CELLS", 2000)
+        monkeypatch.setattr(scheme, "_Helper", Refused)
+        s0, p, opts = self.state(2000), reference_params(), SchemeOptions(dt=0.01)
+        stepped = step_imex(s0, np.ones(2000), p, opts)
+        assert stepped.time == 0.01
+        assert run(s0, Constant(1.0), p, opts, T=0.0) is s0
+
+    @pytest.mark.parametrize("steps", [1, 5])
+    def test_a_march_builds_one_helper(self, monkeypatch, steps):
+        # blocks of two steps: the march loop's one helper serves every block
+        built = []
+
+        class Counted(scheme._Helper):
+            def __init__(self, solve):
+                built.append(self)
+                super().__init__(solve)
+
+        monkeypatch.setattr(scheme, "_OVERLAP_CELLS", 2000)
+        monkeypatch.setattr(scheme, "_Helper", Counted)
+        s0 = self.state(2000)
+        monkeypatch.setattr(scheme, "_BLOCK_BYTES", block_size(2, s0))
+        run(s0, Constant(1.0), reference_params(), SchemeOptions(dt=0.01), T=steps * 0.01)
+        assert len(built) == 1
+        assert not built[0]._thread.is_alive()
+
     def test_close_right_after_a_handover(self):
         # as when a march raises between handing a solve over and waiting
-        # for it: close ends the thread whether or not it took the solve
+        # for it: leaving the with statement ends the thread whether or not
+        # it took the solve
         calls = []
-        helper = scheme._Helper(lambda *args: calls.append(args))
-        helper.start((1,))
-        helper.wait()
-        helper.start((2,))
-        helper.close()
+        with scheme._Helper(lambda *args: calls.append(args)) as helper:
+            helper.start((1,))
+            helper.wait()
+            helper.start((2,))
         assert not helper._thread.is_alive()
         assert calls in ([(1,)], [(1,), (2,)])
 
@@ -957,13 +988,10 @@ class TestHelperThread:
         def solve(*args):
             raise ctypes.ArgumentError("argument 1: wrong type")
 
-        helper = scheme._Helper(solve)
-        try:
+        with scheme._Helper(solve) as helper:
             helper.start((1,))
             with pytest.raises(ctypes.ArgumentError, match="wrong type"):
                 helper.wait()
-        finally:
-            helper.close()
         assert not helper._thread.is_alive()
 
     def test_fast_thread_switching_keeps_the_bytes(self, monkeypatch):
