@@ -488,9 +488,7 @@ def _diagnose(cfg: ScenarioConfig, state: SimulationState, series: WaveSpeedSeri
     run_warnings = []
     limit = reaction_step_limit(cfg.params)
     if cfg.dt > limit:
-        run_warnings.append(
-            f"dt={cfg.dt!r} exceeds the explicit reaction stability heuristic {limit!r}"
-        )
+        run_warnings.append(f"dt={cfg.dt!r} exceeds the explicit reaction limit {limit!r}")
     nearest = aliasing_multiple(cfg.dx, cfg.profile)
     if nearest:
         run_warnings.append(f"cell width ~ {nearest} x diffusivity period; oscillations alias")

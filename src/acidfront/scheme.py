@@ -47,20 +47,20 @@ operator L and the LAPACK routines called one at a time
 
 The two solves of a step are independent, and a march of at least
 _OVERLAP_CELLS cells (B*N) runs them at the same time.  After the explicit
-stage the marching thread hands the acid solve (gttrs) to one helper
+stage the marching thread queues the acid solve (gttrs) for one helper
 thread, builds the tumour bands and solves them (gtsv), then waits for the
-helper.  The helper writes only the new row's w and the acid INFO slot, and
-reads only the acid factors and that w; the marching thread writes the new
-row's v, the band and work buffers and the tumour INFO slot, and its bands
-read only the new u.  No value is read by one thread while the other
-writes it, and each solve does the same operations on the same operands as
-when the two run one after the other, so the numbers cannot change.  The
-next step starts after the wait.  ctypes releases the GIL inside both
-calls.  The helper lives for the ``with`` statement around ``run``'s march
-loop, which joins it however the loop ends.  Below _OVERLAP_CELLS (and on a
-process that may use one CPU) the handoff would cost more than the solve,
-so the marching thread calls gttrs itself at the same point of the step, as
-``step_imex`` always does.
+helper's result.  The helper writes only the new row's w and the acid INFO
+slot, and reads only the acid factors and that w; the marching thread
+writes the new row's v, the band and work buffers and the tumour INFO
+slot, and its bands read only the new u.  No value is read by one thread
+while the other writes it, and each solve does the same operations on the
+same operands as when the two run one after the other, so the numbers
+cannot change.  The next step starts after the wait.  ctypes releases the
+GIL inside both calls.  The helper lives for the ``with`` statement around
+``run``'s march loop, which joins it, after any solve queued, however the
+loop ends.  Below _OVERLAP_CELLS (and on a process that may use one CPU)
+the handoff would cost more than the solve, so the marching thread calls
+gttrs itself at the same point of the step, as ``step_imex`` always does.
 
 ``run`` is the hot loop, and it marches in blocks.  Each step writes its
 fields into the next row of one preallocated (K+1, 3, B*N) history array
@@ -99,6 +99,7 @@ from __future__ import annotations
 import ctypes
 import math
 import os
+import queue
 import threading
 import warnings
 from contextlib import nullcontext
@@ -477,53 +478,43 @@ def _history(s: SimulationState, rows: int) -> np.ndarray:
 
 
 class _Helper:
-    """A thread that makes the acid solves of a march: ``start(args)`` hands
-    it one dgttrs call and ``wait()`` returns once that call is done.  ctypes
-    releases the GIL inside the call, so it runs while the marching thread
-    builds and solves the tumour system.  The thread starts when the helper
-    is built; leaving its ``with`` statement lets a solve that the thread has
-    taken finish, then ends the thread and joins it.
-
-    Two locks, held while idle, pass the turns: the marching thread
-    releases ``_go`` to hand over ``_args``, the helper releases ``_done``
-    when the solve is done."""
+    """A thread that makes the acid solves of a march, handed over through
+    two FIFO queues: ``start(args)`` puts one dgttrs call on the to-do
+    queue, the thread makes the calls in turn and puts None, or the
+    exception a call raised, on the done queue, and ``wait()`` takes one
+    result and raises it if it is an exception.  ctypes releases the GIL
+    inside the call, so it runs while the marching thread builds and solves
+    the tumour system.  The thread starts when the helper is built; leaving
+    its ``with`` statement queues None behind any solve handed over, so the
+    thread makes that solve, then ends and is joined."""
 
     def __init__(self, solve):
-        self._go, self._done = threading.Lock(), threading.Lock()
-        self._go.acquire()
-        self._done.acquire()
-        self._args = self._error = None
+        self._todo, self._done = queue.SimpleQueue(), queue.SimpleQueue()
         self._thread = threading.Thread(target=self._serve, args=(solve,), daemon=True)
         self._thread.start()
 
     def _serve(self, solve):
-        go, done = self._go, self._done
-        while go.acquire() and (args := self._args) is not None:
+        todo, done = self._todo, self._done
+        while (args := todo.get()) is not None:
             try:
                 solve(*args)
             except Exception as error:  # raised again by wait, in the marching thread
-                self._error = error
-            done.release()
+                done.put(error)
+            else:
+                done.put(None)
 
     def start(self, args):
-        self._args = args
-        self._go.release()
+        self._todo.put(args)
 
     def wait(self):
-        self._done.acquire()
-        if self._error is not None:
-            raise self._error
+        if (error := self._done.get()) is not None:
+            raise error
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc_info):
-        self._args = None
-        # _go is free only while a handed-over solve waits to be taken; the
-        # helper then takes None instead and ends.  Only this thread frees
-        # _go, so a held _go cannot be freed between the test and the release.
-        if self._go.locked():
-            self._go.release()
+        self._todo.put(None)
         self._thread.join()
 
 

@@ -532,7 +532,7 @@ class TestRunScenario:
         )
         with pytest.warns(Warning):
             result = run_config(cfg)
-        assert any("stability" in w for w in result.warnings)
+        assert any("reaction limit" in w for w in result.warnings)
 
     def test_destructive_acid_stability_warning_recorded(self):
         # d = 200 at dt = 0.01: the explicit healthy update dips below zero
@@ -541,7 +541,7 @@ class TestRunScenario:
         )
         with pytest.warns(StabilityWarning):
             result = run_config(cfg)
-        assert any("stability" in w for w in result.warnings)
+        assert any("reaction limit" in w for w in result.warnings)
 
     def test_minima_catch_a_dip_the_final_state_does_not_show(self):
         # dt*d = 2: u dips to about -0.027 in the first steps and recovers,
@@ -583,7 +583,7 @@ class TestRunConfigs:
             assert (batched.min_u, batched.min_v, batched.min_w) == (single.min_u, single.min_v, single.min_w)
             assert batched.steps == single.steps
             assert batched.warnings == single.warnings
-        assert any("stability" in w for w in run_configs(cfgs)[2].warnings)
+        assert any("reaction limit" in w for w in run_configs(cfgs)[2].warnings)
 
     def test_only_runs_whose_front_nears_the_boundary_warn(self):
         # a batch used to warn for every run whose front neared the boundary;
@@ -707,7 +707,7 @@ class TestRegimeExpectations:
     # and the run says so, yet its diagnosis holds (ROADMAP item 15)
     STRESS_FIXTURE = "appendix-w200-a0.01-0.06-d200"
 
-    def test_every_preset_classifies_and_stays_nonnegative(self, catalog_runs):
+    def test_every_preset_classifies_and_stays_in_range(self, catalog_runs):
         results, raised = catalog_runs
         assert sorted(results) == list(preset_names()) and len(results) == 60
         for name, result in results.items():
@@ -715,11 +715,16 @@ class TestRegimeExpectations:
             worst = min(result.min_u, result.min_v, result.min_w)
             if name == self.STRESS_FIXTURE:
                 assert result.min_u == pytest.approx(-0.0268, abs=1e-4)
-                assert result.warnings == ("dt=0.01 exceeds the explicit reaction stability heuristic 0.005",)
+                assert result.warnings == ("dt=0.01 exceeds the explicit reaction limit 0.005",)
                 worst = min(result.min_v, result.min_w)
             else:
                 assert result.warnings == (), name
             assert worst >= -1e-8, f"{name}: min field value {worst}"
+            # a run record keeps no maxima, so the upper bound is checked
+            # on the final fields alone
+            final = result.final_state
+            highest = max(final.u.max(), final.v.max(), final.w.max())
+            assert highest <= 1.0 + 1e-8, f"{name}: max final field value {highest}"
         # the one Python warning of the batch is the fixture's (d = 200)
         assert [w.category for w in raised] == [StabilityWarning]
         assert str(raised[0].message).startswith("dt=0.01 exceeds the explicit reaction limit "
@@ -798,5 +803,5 @@ class TestRegimeExpectations:
         # transition-zone sliver remains, far below the true-gap scale.
         # dt*d = 2 exceeds the reaction limit by design, and says so.
         result = preset_run("appendix-w200-a0.01-0.06-d200")
-        assert any("stability" in w for w in result.warnings)
+        assert any("reaction limit" in w for w in result.warnings)
         assert result.gap.width < 0.5 * preset_run("table1-d12.5").gap.width
