@@ -190,34 +190,49 @@ class WaveSpeedRecorder:
 
 
 class PositivityRecorder:
-    """Run observer tracking the minimum of each field over all steps.
+    """Run observer tracking the minimum and maximum of each field over all
+    steps.
 
-    Holds one minimum per field and run from the ``initial`` state on, (3,)
-    for a single run and (3, B) for a batch, and folds in each block of steps
-    with one reduction over its steps and cells.  ``min_u``, ``min_v`` and
-    ``min_w`` are floats for a single run and fresh (B,) arrays for a batch.
+    Holds one minimum and one maximum per field and run from the ``initial``
+    state on, (3,) each for a single run and (3, B) for a batch, and folds in
+    each block of steps with one reduction of each kind over its steps and
+    cells.  ``min_u`` ... ``max_w`` are floats for a single run and fresh
+    (B,) arrays for a batch.
     """
 
     def __init__(self, initial: SimulationState):
-        self._minima = np.array([f.min(axis=-1) for f in (initial.u, initial.v, initial.w)])
-
-    def _least(self, field: int):
-        return self._minima[field].copy()
+        fields = (initial.u, initial.v, initial.w)
+        self._minima = np.array([f.min(axis=-1) for f in fields])
+        self._maxima = np.array([f.max(axis=-1) for f in fields])
 
     @property
     def min_u(self):
-        return self._least(0)
+        return self._minima[0].copy()
 
     @property
     def min_v(self):
-        return self._least(1)
+        return self._minima[1].copy()
 
     @property
     def min_w(self):
-        return self._least(2)
+        return self._minima[2].copy()
+
+    @property
+    def max_u(self):
+        return self._maxima[0].copy()
+
+    @property
+    def max_v(self):
+        return self._maxima[1].copy()
+
+    @property
+    def max_w(self):
+        return self._maxima[2].copy()
 
     def __call__(self, first_step: int, times: np.ndarray, fields: np.ndarray):
-        np.minimum(self._minima, fields[1:].min(axis=(0, -1)), out=self._minima)
+        block = fields[1:]
+        np.minimum(self._minima, block.min(axis=(0, -1)), out=self._minima)
+        np.maximum(self._maxima, block.max(axis=(0, -1)), out=self._maxima)
 
 
 def detect_gap(s: SimulationState) -> GapReport:

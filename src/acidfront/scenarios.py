@@ -413,6 +413,9 @@ class RunResult:
     min_u: float
     min_v: float
     min_w: float
+    max_u: float
+    max_v: float
+    max_w: float
     steps: int
     wall_time_s: float
     warnings: tuple[str, ...]
@@ -535,9 +538,10 @@ def _run_batch(cfgs, extra_observers=(), mesh=None) -> list[RunResult]:
     elapsed = time.perf_counter() - started
 
     runs = (len(cfgs),)
-    min_u, min_v, min_w = (
-        np.broadcast_to(m, runs) for m in (positivity.min_u, positivity.min_v, positivity.min_w)
-    )
+    ranges = {
+        name: np.broadcast_to(getattr(positivity, name), runs)
+        for name in ("min_u", "min_v", "min_w", "max_u", "max_v", "max_w")
+    }
     near = np.broadcast_to(recorder.front_near_boundary, runs)
     results = []
     for b, (cfg, state) in enumerate(zip(cfgs, final.unstack())):
@@ -546,9 +550,7 @@ def _run_batch(cfgs, extra_observers=(), mesh=None) -> list[RunResult]:
             config=cfg,
             final_state=state,
             speed_series=series,
-            min_u=float(min_u[b]),
-            min_v=float(min_v[b]),
-            min_w=float(min_w[b]),
+            **{name: float(values[b]) for name, values in ranges.items()},
             steps=steps,
             wall_time_s=elapsed,
             **_diagnose(cfg, state, series, near[b]),

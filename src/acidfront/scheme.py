@@ -215,11 +215,15 @@ def _cpus() -> int:
 
 
 # A march of at least this many cells (B*N) runs its acid solves on a helper
-# thread, alongside the tumour solve.  Below it the handoff costs about as
-# much as the solve, or more: a step of 400 cells took 29 us serial and 39 us
-# overlapped, one of 2 000 cells 101 and 89 us, and near 1 600 the two were
-# within noise (best of 3 processes, 2-vCPU Xeon, Python 3.11, numpy 2.4).
-# With one CPU the two solves could only take turns.
+# thread, alongside the tumour solve.  What that gains depends on whether a
+# second CPU is free, which this gate cannot see.  On a 2-vCPU Xeon (Python
+# 3.11, numpy 2.4, best of 7 x 50 steps per process, BENCH_31.json) a step of
+# 400 cells took 30-41 us serial and 38-60 us overlapped, so smaller marches
+# stay serial.  Above it, as the other CPU's load came and went, a step of
+# 2 000 cells took 98-120 us serial and 110-131 us overlapped, one of 20 000
+# cells 1 028-1 207 and 885-1 096 us, and the 4 000-20 000-cell benchmark
+# marches ran 24 % faster with the helper, 10 of 10 pairs.  With one CPU the
+# two solves could only take turns.
 _OVERLAP_CELLS = 2000 if _cpus() >= 2 else math.inf
 
 

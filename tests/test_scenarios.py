@@ -545,15 +545,18 @@ class TestRunScenario:
 
     def test_minima_catch_a_dip_the_final_state_does_not_show(self):
         # dt*d = 2: u dips to about -0.027 in the first steps and recovers,
-        # so only minima taken over every step can report it
-        seen = []
+        # so only minima taken over every step can report it; the maxima are
+        # taken over the same steps
+        low, high = [], []
 
         def every_step(first_step, times, fields):
-            seen.append(fields.min(axis=-1).min(axis=0))
+            low.append(fields.min(axis=-1).min(axis=0))
+            high.append(fields.max(axis=-1).max(axis=0))
 
         with pytest.warns(StabilityWarning):
             result = run_config(preset("appendix-w200-a0.01-0.06-d200"), [every_step])
-        assert (result.min_u, result.min_v, result.min_w) == tuple(np.min(seen, axis=0))
+        assert (result.min_u, result.min_v, result.min_w) == tuple(np.min(low, axis=0))
+        assert (result.max_u, result.max_v, result.max_w) == tuple(np.max(high, axis=0))
         assert result.min_u < -0.02
         final = result.final_state
         assert min(final.u.min(), final.v.min(), final.w.min()) >= -1e-8
@@ -580,7 +583,8 @@ class TestRunConfigs:
             for name in ("u", "v", "w"):
                 assert np.array_equal(getattr(batched.final_state, name), getattr(single.final_state, name))
             assert np.array_equal(batched.speed_series.thetas, single.speed_series.thetas)
-            assert (batched.min_u, batched.min_v, batched.min_w) == (single.min_u, single.min_v, single.min_w)
+            for name in ("min_u", "min_v", "min_w", "max_u", "max_v", "max_w"):
+                assert getattr(batched, name) == getattr(single, name), name
             assert batched.steps == single.steps
             assert batched.warnings == single.warnings
         assert any("reaction limit" in w for w in run_configs(cfgs)[2].warnings)
@@ -720,11 +724,8 @@ class TestRegimeExpectations:
             else:
                 assert result.warnings == (), name
             assert worst >= -1e-8, f"{name}: min field value {worst}"
-            # a run record keeps no maxima, so the upper bound is checked
-            # on the final fields alone
-            final = result.final_state
-            highest = max(final.u.max(), final.v.max(), final.w.max())
-            assert highest <= 1.0 + 1e-8, f"{name}: max final field value {highest}"
+            highest = max(result.max_u, result.max_v, result.max_w)
+            assert highest <= 1.0 + 1e-8, f"{name}: max field value {highest}"
         # the one Python warning of the batch is the fixture's (d = 200)
         assert [w.category for w in raised] == [StabilityWarning]
         assert str(raised[0].message).startswith("dt=0.01 exceeds the explicit reaction limit "

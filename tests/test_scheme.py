@@ -1112,7 +1112,10 @@ class TestBatch:
         runs = (len(states),)
         assert fronts == sum(single[3] for single in singles)
         near = np.broadcast_to(speed.front_near_boundary, runs)
-        minima = {name: np.broadcast_to(getattr(low, name), runs) for name in ("min_u", "min_v", "min_w")}
+        ranges = {
+            name: np.broadcast_to(getattr(low, name), runs)
+            for name in ("min_u", "min_v", "min_w", "max_u", "max_v", "max_w")
+        }
         for b, (final, single_speed, single_low, _) in enumerate(singles):
             block = batch.unstack()[b]
             assert block.time == final.time
@@ -1120,6 +1123,6 @@ class TestBatch:
                 assert np.array_equal(getattr(block, name), getattr(final, name)), name
             assert np.array_equal(speed.series(b).thetas, single_speed.series().thetas)
             assert np.array_equal(speed.series(b).times, single_speed.series().times)
-            for name, values in minima.items():
+            for name, values in ranges.items():
                 assert values[b] == getattr(single_low, name), name
             assert near[b] == single_speed.front_near_boundary
