@@ -131,8 +131,8 @@ class WaveSpeedRecorder:
 
     Warns once per run if its front (the 0.5-crossing of v) comes within
     BOUNDARY_MARGIN cells of either end, where the Neumann closure starts
-    to pollute the estimate; ``front_near_boundary`` says which runs did (a
-    bool for a single run, one per run for a batch).
+    to pollute the estimate; ``front_near_boundary`` says which runs did: a
+    bool for a single run, a (B,) array for a batch from its first block on.
     """
 
     def __init__(self, mesh: Mesh, dt: float):
@@ -158,11 +158,11 @@ class WaveSpeedRecorder:
         near = (peak(v[..., self._right], axis=-1) >= 0.5) | (
             (v[..., 0] < 0.5) & (peak(v[..., self._left], axis=-1) >= 0.5)
         )
-        if not near.any():
-            return
         reached = near.any(axis=0)
         new = np.atleast_1d(reached & ~self.front_near_boundary)
         self.front_near_boundary = self.front_near_boundary | reached
+        if not new.any():
+            return
         # Warn in step order, as the runs first came near.
         row = np.atleast_1d(near.argmax(axis=0))
         runs = np.flatnonzero(new)
@@ -193,46 +193,21 @@ class PositivityRecorder:
     """Run observer tracking the minimum and maximum of each field over all
     steps.
 
-    Holds one minimum and one maximum per field and run from the ``initial``
-    state on, (3,) each for a single run and (3, B) for a batch, and folds in
-    each block of steps with one reduction of each kind over its steps and
-    cells.  ``min_u`` ... ``max_w`` are floats for a single run and fresh
-    (B,) arrays for a batch.
+    ``minima`` and ``maxima`` hold one value per field (rows u, v, w) and
+    run from the ``initial`` state on, (3,) each for a single run and (3, B)
+    for a batch; each block of steps folds into them in place, with one
+    reduction of each kind over its steps and cells.
     """
 
     def __init__(self, initial: SimulationState):
         fields = (initial.u, initial.v, initial.w)
-        self._minima = np.array([f.min(axis=-1) for f in fields])
-        self._maxima = np.array([f.max(axis=-1) for f in fields])
-
-    @property
-    def min_u(self):
-        return self._minima[0].copy()
-
-    @property
-    def min_v(self):
-        return self._minima[1].copy()
-
-    @property
-    def min_w(self):
-        return self._minima[2].copy()
-
-    @property
-    def max_u(self):
-        return self._maxima[0].copy()
-
-    @property
-    def max_v(self):
-        return self._maxima[1].copy()
-
-    @property
-    def max_w(self):
-        return self._maxima[2].copy()
+        self.minima = np.array([f.min(axis=-1) for f in fields])
+        self.maxima = np.array([f.max(axis=-1) for f in fields])
 
     def __call__(self, first_step: int, times: np.ndarray, fields: np.ndarray):
         block = fields[1:]
-        np.minimum(self._minima, block.min(axis=(0, -1)), out=self._minima)
-        np.maximum(self._maxima, block.max(axis=(0, -1)), out=self._maxima)
+        np.minimum(self.minima, block.min(axis=(0, -1)), out=self.minima)
+        np.maximum(self.maxima, block.max(axis=(0, -1)), out=self.maxima)
 
 
 def detect_gap(s: SimulationState) -> GapReport:

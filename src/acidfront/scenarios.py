@@ -11,8 +11,10 @@ homogeneous-diffusivity baseline (four destructiveness regimes), single-jump
 and periodic diffusivities, the fast-growth variant, and the 12-row
 homogenization benchmark matrix.
 
-All file output is deterministic: CSV floats carry 17 significant digits
-and summaries are flat key=value text.
+All file output is deterministic.  CSV floats carry 17 significant digits
+(``%.17g``), except in ``speeds.csv``, which writes each float's repr, and
+the row parameters of ``homogenization.csv``, which are written with ``%g``.
+Summaries and configs are flat key=value text.
 """
 
 from __future__ import annotations
@@ -537,20 +539,18 @@ def _run_batch(cfgs, extra_observers=(), mesh=None) -> list[RunResult]:
     )
     elapsed = time.perf_counter() - started
 
-    runs = (len(cfgs),)
-    ranges = {
-        name: np.broadcast_to(getattr(positivity, name), runs)
-        for name in ("min_u", "min_v", "min_w", "max_u", "max_v", "max_w")
-    }
-    near = np.broadcast_to(recorder.front_near_boundary, runs)
+    # one column per run
+    ranges = np.concatenate((positivity.minima, positivity.maxima)).reshape(6, -1)
+    near = np.atleast_1d(recorder.front_near_boundary)
     results = []
     for b, (cfg, state) in enumerate(zip(cfgs, final.unstack())):
         series = recorder.series(b)
+        min_u, min_v, min_w, max_u, max_v, max_w = ranges[:, b].tolist()
         results.append(RunResult(
             config=cfg,
             final_state=state,
             speed_series=series,
-            **{name: float(values[b]) for name, values in ranges.items()},
+            min_u=min_u, min_v=min_v, min_w=min_w, max_u=max_u, max_v=max_v, max_w=max_w,
             steps=steps,
             wall_time_s=elapsed,
             **_diagnose(cfg, state, series, near[b]),
@@ -694,9 +694,13 @@ def convergence_study(levels: int):
     solution at T = 0.25, halving dx = 0.05 ``levels`` times with dt
     proportional to dx^2.
 
-    Exercises the production path (explicit kinetics + implicit diffusion
-    solve) with the oscillatory coefficient A in [0.4, 0.6].  Returns a list
-    of dicts with dx, dt, error, and observed order between levels.
+    Each step is an explicit Euler stage of the acid kinetics, then a
+    backward-Euler diffusion solve with the oscillatory coefficient A in
+    [0.4, 0.6], assembled by ``assemble_implicit_w`` and solved with gtsv
+    (``solve_tridiagonal``) every step.  A run factors that matrix once
+    (gttrf) and solves with the factors (gttrs) instead, so this checks the
+    discretization, not the stepper's solves.  Returns a list of dicts with
+    dx, dt, error, and observed order between levels.
     """
     if levels < 1:
         raise ConfigurationError(f"need at least one refinement, got {levels!r}")

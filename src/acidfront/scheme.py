@@ -45,22 +45,19 @@ byte for byte, to a step built from reaction_u/v/w, the reference
 operator L and the LAPACK routines called one at a time
 (``tests/oracles.py``).
 
-The two solves of a step are independent, and a march of at least
-_OVERLAP_CELLS cells (B*N) runs them at the same time.  After the explicit
-stage the marching thread queues the acid solve (gttrs) for one helper
-thread, builds the tumour bands and solves them (gtsv), then waits for the
-helper's result.  The helper writes only the new row's w and the acid INFO
-slot, and reads only the acid factors and that w; the marching thread
-writes the new row's v, the band and work buffers and the tumour INFO
-slot, and its bands read only the new u.  No value is read by one thread
-while the other writes it, and each solve does the same operations on the
-same operands as when the two run one after the other, so the numbers
-cannot change.  The next step starts after the wait.  ctypes releases the
-GIL inside both calls.  The helper lives for the ``with`` statement around
-``run``'s march loop, which joins it, after any solve queued, however the
-loop ends.  Below _OVERLAP_CELLS (and on a process that may use one CPU)
-the handoff would cost more than the solve, so the marching thread calls
-gttrs itself at the same point of the step, as ``step_imex`` always does.
+The two solves of a step are independent.  A march of at least
+_OVERLAP_CELLS cells (B*N) hands its acid solve (gttrs) to one helper
+thread (``_Helper``) after the explicit stage, builds and solves the
+tumour system (gtsv) meanwhile, then waits for the helper; ctypes releases
+the GIL inside both calls.  The helper writes only the new row's w and the
+acid INFO slot, and reads only the acid factors and that w; the marching
+thread writes the new row's v, the band and work buffers and the tumour
+INFO slot, and its bands read only the new u.  So no value is read by one
+thread while the other writes it, each solve does what it does when the
+two run in turn, and the numbers cannot change.  The helper lives for the
+``with`` statement around ``run``'s march loop, which joins it, after any
+solve handed over, however the loop ends.  Smaller marches, and
+``step_imex``, make both solves on the marching thread.
 
 ``run`` is the hot loop, and it marches in blocks.  Each step writes its
 fields into the next row of one preallocated (K+1, 3, B*N) history array
@@ -214,16 +211,11 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-# A march of at least this many cells (B*N) runs its acid solves on a helper
-# thread, alongside the tumour solve.  What that gains depends on whether a
-# second CPU is free, which this gate cannot see.  On a 2-vCPU Xeon (Python
-# 3.11, numpy 2.4, best of 7 x 50 steps per process, BENCH_31.json) a step of
-# 400 cells took 30-41 us serial and 38-60 us overlapped, so smaller marches
-# stay serial.  Above it, as the other CPU's load came and went, a step of
-# 2 000 cells took 98-120 us serial and 110-131 us overlapped, one of 20 000
-# cells 1 028-1 207 and 885-1 096 us, and the 4 000-20 000-cell benchmark
-# marches ran 24 % faster with the helper, 10 of 10 pairs.  With one CPU the
-# two solves could only take turns.
+# A march of at least this many cells (B*N) makes its acid solves on the
+# helper thread.  Below it the hand-off costs as much as the solve, and with
+# one CPU the two solves can only take turns; above it the gain depends on a
+# free second CPU, which this gate cannot see (BENCH_28.json, BENCH_30.json,
+# BENCH_31.json).
 _OVERLAP_CELLS = 2000 if _cpus() >= 2 else math.inf
 
 
@@ -482,15 +474,11 @@ def _history(s: SimulationState, rows: int) -> np.ndarray:
 
 
 class _Helper:
-    """A thread that makes the acid solves of a march, handed over through
-    two FIFO queues: ``start(args)`` puts one dgttrs call on the to-do
-    queue, the thread makes the calls in turn and puts None, or the
-    exception a call raised, on the done queue, and ``wait()`` takes one
-    result and raises it if it is an exception.  ctypes releases the GIL
-    inside the call, so it runs while the marching thread builds and solves
-    the tumour system.  The thread starts when the helper is built; leaving
-    its ``with`` statement queues None behind any solve handed over, so the
-    thread makes that solve, then ends and is joined."""
+    """The helper thread of a march (see the module docstring), fed through
+    two FIFO queues: ``start(args)`` queues one dgttrs call, and ``wait()``
+    takes the next result, raising the exception the call raised, if any.
+    Leaving the ``with`` statement queues None behind the solves handed
+    over, so the thread makes them, then ends and is joined."""
 
     def __init__(self, solve):
         self._todo, self._done = queue.SimpleQueue(), queue.SimpleQueue()
@@ -531,9 +519,7 @@ class _Stepper:
 
     The arguments of both LAPACK solves are built once per history row: the
     tumour bands, or the acid factors, then the row's v, or w, as the
-    right-hand side, and the row's two slots of ``_info`` for INFO.  The
-    stepper holds no thread: ``march`` makes its acid solves on the
-    ``_Helper`` it is given, or itself."""
+    right-hand side, and the row's two slots of ``_info`` for INFO."""
 
     def __init__(self, history: np.ndarray, mesh: Mesh, A_cells: list, params, opts: SchemeOptions):
         block, runs = mesh.n_cells, history.shape[-1] // mesh.n_cells
@@ -621,11 +607,8 @@ class _Stepper:
             np.multiply(c, w_new, out=w_new)
             new *= dt
             new += now
-            # Both solves overwrite their right-hand side, the contiguous
-            # row of v or w, with the solution, and write their own INFO
-            # slot.  The acid solve reads only its factors and the new w,
-            # the tumour bands only the new u, so the acid solve can run
-            # while the tumour system is built and solved.
+            # Both solves overwrite their right-hand side, the row's v or w,
+            # with the solution, and write their own INFO slot.
             tumour, acid = solves[j]
             if helper is None:
                 gttrs(*acid)
@@ -737,9 +720,7 @@ def run(
 
     Instability aborts the run with the failing step index and time, after
     the observers have seen the rows before that step.  The returned state
-    holds copies of the final fields.  A march of at least _OVERLAP_CELLS
-    cells makes its acid solves on a helper thread that lives for the march
-    loop alone, so it is joined before ``run`` returns or raises.
+    holds copies of the final fields.
     """
     if T < s0.time:
         raise ValueError(f"final time {T!r} precedes state time {s0.time!r}")
@@ -774,8 +755,8 @@ def run(
     shown = times.view()
     shown.flags.writeable = False
     first = 0
-    # A breakdown, an observer that raises or an interrupt leaves the loop
-    # through the with statement, so no helper writes into the history after.
+    # The with joins the helper however the loop ends (a breakdown, an
+    # observer that raises, an interrupt), so it writes no row after the loop.
     with _Helper(_LAPACK.gttrs) if history.shape[-1] >= _OVERLAP_CELLS else nullcontext() as helper:
         while first < n_steps:
             m = min(size, n_steps - first)

@@ -25,11 +25,12 @@ from acidfront.scenarios import (
     PIECEWISE_LINEAR,
     ScenarioConfig,
     effective_twin,
+    initial_state,
     preset,
     preset_names,
     run_configs,
 )
-from acidfront.scheme import SimulationState
+from acidfront.scheme import SchemeOptions, SimulationState, run
 from oracles import harmonic_mean_quadrature
 
 
@@ -368,6 +369,21 @@ class TestWaveSpeedRecorder:
         split(1, times[1:], fields[1:])
         assert np.array_equal(split.series().thetas, series.thetas)
         assert np.array_equal(split.series().times, series.times)
+
+    def test_a_batch_has_one_flag_per_run_from_the_first_block(self):
+        # no front comes near the boundary by T = 0.05, yet a batch of two
+        # already has two flags, and a single run keeps one bool
+        cfg = preset("table1-d12.5")
+        mesh, opts = cfg.mesh(), SchemeOptions(cfg.dt)
+        state = initial_state(cfg.initial, mesh)
+        batch, single = WaveSpeedRecorder(mesh, cfg.dt), WaveSpeedRecorder(mesh, cfg.dt)
+        pair = SimulationState.stack([state, state])
+        run(pair, [cfg.profile] * 2, [cfg.params] * 2, opts, 0.05, observers=[batch])
+        run(state, cfg.profile, cfg.params, opts, 0.05, observers=[single])
+        assert batch.front_near_boundary.shape == (2,)
+        assert not batch.front_near_boundary.any()
+        assert isinstance(single.front_near_boundary, np.bool_)
+        assert not single.front_near_boundary
 
 
 def coarse_scenario(profile):

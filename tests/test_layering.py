@@ -1,9 +1,13 @@
 """The package's import layering: errors, core → mesh → scheme → analysis →
 scenarios → cli.  A module imports only modules of earlier layers, and only
-at module level, so no lazy import inside a function hides a cycle."""
+at module level, so no lazy import inside a function hides a cycle; the
+package's ``__init__`` imports nothing, so importing a layer loads no later
+one."""
 
 import ast
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,13 +47,13 @@ def nested_imports(tree):
 def violations(name: str, source: str) -> list[str]:
     tree = ast.parse(source)
     nested = set(nested_imports(tree))
+    # the package's __init__ sits below every layer: it may import none
+    rank = 0 if name == "__init__" else LAYERS.index(name)
     found = []
     for node, module in package_imports(tree):
         if node in nested:
             found.append(f"line {node.lineno}: imports {module or 'acidfront'} inside a function")
-        elif name != "__init__" and (
-            module not in LAYERS or LAYERS.index(module) >= LAYERS.index(name)
-        ):
+        elif module not in LAYERS or LAYERS.index(module) >= rank:
             found.append(f"line {node.lineno}: imports {module or 'acidfront'}, not an earlier layer")
     return found
 
@@ -64,6 +68,18 @@ def test_imports_follow_the_layers(name):
     assert violations(name, (PACKAGE / f"{name}.py").read_text()) == []
 
 
+@pytest.mark.parametrize("name", LAYERS)
+def test_a_layer_imports_alone(name):
+    code = (
+        f"import sys, acidfront.{name}\n"
+        "print(*(m for m in sys.modules if m.partition('.')[0] == 'acidfront'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    allowed = {"acidfront"} | {f"acidfront.{layer}" for layer in LAYERS[: LAYERS.index(name) + 1]}
+    assert set(proc.stdout.split()) <= allowed
+
+
 @pytest.mark.parametrize("name, source", [
     ("mesh", "from .scheme import run\n"),
     ("scheme", "from acidfront.analysis import tail_speed\n"),
@@ -73,6 +89,7 @@ def test_imports_follow_the_layers(name):
     ("scenarios", "def f():\n    from .cli import main\n"),
     ("cli", "def f():\n    from .errors import ConfigurationError\n"),
     ("__init__", "async def f():\n    import acidfront.core\n"),
+    ("__init__", "from .errors import ConfigurationError\n"),
 ])
 def test_violations_are_caught(name, source):
     assert len(violations(name, source)) == 1

@@ -1109,13 +1109,12 @@ class TestBatch:
                 march(stacked, profiles, params, opts, steps)
             return
         batch, speed, low, fronts = march(stacked, profiles, params, opts, steps)
-        runs = (len(states),)
+        runs = len(states)
         assert fronts == sum(single[3] for single in singles)
-        near = np.broadcast_to(speed.front_near_boundary, runs)
-        ranges = {
-            name: np.broadcast_to(getattr(low, name), runs)
-            for name in ("min_u", "min_v", "min_w", "max_u", "max_v", "max_w")
-        }
+        # a batch has one flag per run, and one column of ranges per run
+        near = np.atleast_1d(speed.front_near_boundary)
+        minima, maxima = low.minima.reshape(3, -1), low.maxima.reshape(3, -1)
+        assert near.shape == (runs,) and minima.shape == maxima.shape == (3, runs)
         for b, (final, single_speed, single_low, _) in enumerate(singles):
             block = batch.unstack()[b]
             assert block.time == final.time
@@ -1123,6 +1122,6 @@ class TestBatch:
                 assert np.array_equal(getattr(block, name), getattr(final, name)), name
             assert np.array_equal(speed.series(b).thetas, single_speed.series().thetas)
             assert np.array_equal(speed.series(b).times, single_speed.series().times)
-            for name, values in ranges.items():
-                assert values[b] == getattr(single_low, name), name
+            assert np.array_equal(minima[:, b], single_low.minima)
+            assert np.array_equal(maxima[:, b], single_low.maxima)
             assert near[b] == single_speed.front_near_boundary
