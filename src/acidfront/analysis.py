@@ -101,8 +101,9 @@ def leveque_yee_step(v_prev, v_next, dx: float, dt: float):
     """One-step LeVeque-Yee speed estimate of the tumour front on a uniform mesh.
 
     theta = (dx/dt) * sum_i(v_next_i - v_prev_i) / (V_INVADED - V_INTACT),
-    summed over the last axis: one estimate per run for (B, N) batch fields,
-    and per step and run for the consecutive rows of a block of steps.
+    summed over the last axis: one estimate for a run's (N,) fields, one per
+    run for the (B, N) rows a batch of B runs shows its observers, and per
+    step and run for the consecutive rows of a block of steps.
     """
     increment = (np.asarray(v_next) - np.asarray(v_prev)).sum(axis=-1)
     return (dx / dt) * increment / (V_INVADED - V_INTACT)
@@ -194,17 +195,18 @@ class PositivityRecorder:
     steps.
 
     ``minima`` and ``maxima`` hold one value per field (rows u, v, w) and
-    run from the ``initial`` state on, (3,) each for a single run and (3, B)
-    for a batch; each block of steps folds into them in place, with one
+    run, (3,) each for a single run and (3, B) for a batch; they are None
+    until the first block, whose row 0 (the state the march starts from)
+    starts them.  Each block of steps folds into them in place, with one
     reduction of each kind over its steps and cells.
     """
 
-    def __init__(self, initial: SimulationState):
-        fields = (initial.u, initial.v, initial.w)
-        self.minima = np.array([f.min(axis=-1) for f in fields])
-        self.maxima = np.array([f.max(axis=-1) for f in fields])
+    def __init__(self):
+        self.minima = self.maxima = None
 
     def __call__(self, first_step: int, times: np.ndarray, fields: np.ndarray):
+        if self.minima is None:
+            self.minima, self.maxima = fields[0].min(axis=-1), fields[0].max(axis=-1)
         block = fields[1:]
         np.minimum(self.minima, block.min(axis=(0, -1)), out=self.minima)
         np.maximum(self.maxima, block.max(axis=(0, -1)), out=self.maxima)

@@ -157,9 +157,12 @@ class SingleJump(DiffusionProfile):
             raise ValueError(f"jump location must be finite, got {self.x_jump!r}")
 
     def cell_averages(self, mesh):
-        # Exact piecewise integration: split each cell at the jump.
+        # Exact piecewise integration: split each cell at the jump.  A cell
+        # wholly on one side takes that side's value exactly (a1*w/w may
+        # round an ulp off it).
         left_len = np.clip(self.x_jump - mesh.interfaces[:-1], 0.0, mesh.widths)
-        return (self.a1 * left_len + self.a2 * (mesh.widths - left_len)) / mesh.widths
+        averages = (self.a1 * left_len + self.a2 * (mesh.widths - left_len)) / mesh.widths
+        return np.select([left_len == mesh.widths, left_len == 0.0], [self.a1, self.a2], averages)
 
 
 @dataclass(frozen=True)

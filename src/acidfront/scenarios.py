@@ -522,15 +522,12 @@ def _run_batch(cfgs, extra_observers=(), mesh=None) -> list[RunResult]:
     None) as one block-diagonal batch; each result's wall time is the batch's."""
     first = cfgs[0]
     mesh = first.mesh() if mesh is None else mesh
-    # run drops the initial state once it seeds its history: no name here keeps it
-    initial = [SimulationState.stack([initial_state(cfg.initial, mesh) for cfg in cfgs])]
-    positivity = PositivityRecorder(initial=initial[0])
-    steps = step_count(initial[0].time, first.T, first.dt)
-    recorder = WaveSpeedRecorder(mesh, first.dt)
+    positivity, recorder = PositivityRecorder(), WaveSpeedRecorder(mesh, first.dt)
 
     started = time.perf_counter()
-    final = run(
-        initial.pop(),
+    # run drops the initial states once it seeds its history: no name here keeps them
+    finals = run(
+        [initial_state(cfg.initial, mesh) for cfg in cfgs],
         [cfg.profile for cfg in cfgs],
         [cfg.params for cfg in cfgs],
         SchemeOptions(dt=first.dt),
@@ -542,8 +539,9 @@ def _run_batch(cfgs, extra_observers=(), mesh=None) -> list[RunResult]:
     # one column per run
     ranges = np.concatenate((positivity.minima, positivity.maxima)).reshape(6, -1)
     near = np.atleast_1d(recorder.front_near_boundary)
+    steps = step_count(0.0, first.T, first.dt)
     results = []
-    for b, (cfg, state) in enumerate(zip(cfgs, final.unstack())):
+    for b, (cfg, state) in enumerate(zip(cfgs, finals)):
         series = recorder.series(b)
         min_u, min_v, min_w, max_u, max_v, max_w = ranges[:, b].tolist()
         results.append(RunResult(

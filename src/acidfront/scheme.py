@@ -15,12 +15,13 @@ the 1 on the identity), so the direct solves are safe whenever the interface
 coefficients stay nonnegative.
 
 One stepper serves a single run and a batch of B runs on the same mesh with
-the same dt (and tumour diffusivity D).  A batch lays its runs end to end in
+the same dt (and tumour diffusivity D).  A state is one run; a batch is B
+states, B profiles and B parameter sets, which ``run`` lays end to end in
 flat B*N arrays, one block of N cells per run, with its own d, r and c (as
 per-cell vectors) and its own A.  The interface coefficient at each junction
 between two blocks is set to zero, so both tridiagonal systems are block
 diagonal: one LAPACK call solves every run, and each block gets exactly the
-numbers a run on its own would.  A single run is the batch of one.
+numbers a run on its own would.  ``step_imex`` steps one run.
 
 Both implicit matrices are I - gamma*L(kappa), and one builder assembles
 them (``_BackwardEuler``): from constants computed once from the cell
@@ -63,8 +64,8 @@ solve handed over, however the loop ends.  Smaller marches, and
 fields into the next row of one preallocated (K+1, 3, B*N) history array
 (about _BLOCK_BYTES of memory), reusing it from block to block; row 0 is
 the state the block starts from.  ``run`` seeds it with the initial fields
-and drops the state before it builds anything else, so a march holds each
-field once (and one mesh, the state's).  No step runs a reduction or
+and drops the states before it builds anything else, so a march holds each
+field once (and one mesh, the states').  No step runs a reduction or
 builds a state, and each LAPACK solve writes its INFO into its row's slot
 of a small array.  After each block one vectorised pass over its rows does
 what a per-step check would: it finds the first step whose tumour
@@ -232,13 +233,12 @@ class SchemeOptions:
 
 @dataclass(frozen=True)
 class SimulationState:
-    """Cell-averaged fields u, v, w on a shared mesh at one time.
+    """Cell-averaged fields u, v, w of one run on a mesh at one time.
 
-    The fields of one run have shape (N,); a batch of B runs on the same
-    mesh holds them as (B, N), one row per run (see ``stack``).  Arrays are
-    validated (matching shape, all finite) and frozen on construction, so
-    states can be shared across threads and kept as snapshots without
-    defensive copies.
+    Each field has shape (N,); a batch of B runs is a sequence of B states
+    (see ``run``).  Arrays are validated (shape (N,), all finite) and
+    frozen on construction, so states can be shared across threads and
+    kept as snapshots without defensive copies.
     """
 
     mesh: Mesh
@@ -248,9 +248,7 @@ class SimulationState:
     w: np.ndarray
 
     def __post_init__(self):
-        n = self.mesh.n_cells
-        lead = np.shape(self.u)[:-1]
-        expected = (lead[0], n) if len(lead) == 1 and lead[0] > 0 else (n,)
+        expected = (self.mesh.n_cells,)
         for name in ("u", "v", "w"):
             arr = np.array(getattr(self, name), dtype=float)
             if arr.shape != expected:
@@ -261,30 +259,6 @@ class SimulationState:
                 raise ValueError(f"field {name} contains non-finite values")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    @classmethod
-    def stack(cls, states):
-        """Batch state whose runs are ``states`` (one mesh object, one time);
-        a single state is returned as it is."""
-        first = states[0]
-        if len(states) == 1:
-            return first
-        if any(s.mesh is not first.mesh or s.time != first.time or s.u.ndim != 1 for s in states):
-            raise ValueError("stacked states must be single runs sharing one mesh and time")
-        return cls._trusted(
-            first.mesh, first.time, *(np.stack([getattr(s, f) for s in states]) for f in "uvw")
-        )
-
-    def unstack(self) -> tuple:
-        """One state per run of a batch state (the state itself for one run),
-        each with its own copy of its fields: a view of a row would keep
-        every run of the batch alive for as long as one run's state lives."""
-        if self.u.ndim == 1:
-            return (self,)
-        return tuple(
-            SimulationState._trusted(self.mesh, self.time, u.copy(), v.copy(), w.copy())
-            for u, v, w in zip(self.u, self.v, self.w)
-        )
 
     @classmethod
     def _trusted(cls, mesh: Mesh, time: float, u: np.ndarray, v: np.ndarray, w: np.ndarray):
@@ -465,11 +439,14 @@ def _factor_acid(A_cells: np.ndarray, opts: SchemeOptions, widths: np.ndarray, b
     return (system._flat, du2, ipiv), pointers
 
 
-def _history(s: SimulationState, rows: int) -> np.ndarray:
-    """A (rows, 3, B*N) history block whose row 0 holds the fields of ``s``."""
-    history = np.empty((rows, 3, s.u.size))
-    row = history[0].reshape((3,) + s.u.shape)
-    row[0], row[1], row[2] = s.u, s.v, s.w
+def _history(states, rows: int) -> np.ndarray:
+    """A (rows, 3, B*N) history block whose row 0 holds the fields of the B
+    ``states``, one block of N cells each."""
+    runs, n = len(states), states[0].u.size
+    history = np.empty((rows, 3, runs * n))
+    row = history[0].reshape(3, runs, n)
+    for b, s in enumerate(states):
+        row[0, b], row[1, b], row[2, b] = s.u, s.v, s.w
     return history
 
 
@@ -527,8 +504,8 @@ class _Stepper:
         A_cells.clear()
         if len(params) != runs or A.size != history.shape[-1]:
             raise ValueError(
-                f"a state of {runs} run(s) needs one parameter set and one diffusivity "
-                f"row per run, got {len(params)} and {A.size / block:g} rows"
+                f"{runs} state(s) need one parameter set and one diffusivity row "
+                f"each, got {len(params)} and {A.size / block:g} rows"
             )
         if any(q.D != params[0].D for q in params):
             raise ValueError("the runs of a batch must share the tumour diffusivity D")
@@ -651,22 +628,17 @@ def _per_run(value, kind) -> tuple:
 def step_imex(
     s: SimulationState,
     A_cells: np.ndarray,
-    p,
+    p: ModelParameters,
     opts: SchemeOptions,
 ) -> SimulationState:
-    """Advance the state by one IMEX step of size opts.dt: the march of
+    """Advance one run by one IMEX step of size opts.dt: the march of
     ``run`` with a block of one step, both solves on the calling thread.
-
-    For a batch state, ``A_cells`` has the state's (B, N) shape and ``p``
-    holds one ModelParameters per run.
     """
-    stepper = _Stepper(_history(s, 2), s.mesh, [A_cells], _per_run(p, ModelParameters), opts)
+    stepper = _Stepper(_history((s,), 2), s.mesh, [A_cells], (p,), opts)
     _, reason = stepper.march(1, (s.time,))
     if reason is not None:
         raise InstabilityError(reason, time=s.time)
-    return SimulationState._trusted(
-        s.mesh, s.time + opts.dt, *(f.reshape(s.u.shape) for f in stepper.history[1])
-    )
+    return SimulationState._trusted(s.mesh, s.time + opts.dt, *stepper.history[1])
 
 
 def reaction_step_limit(p: ModelParameters) -> float:
@@ -692,38 +664,45 @@ def step_count(t0: float, T: float, dt: float) -> int:
 
 
 def run(
-    s0: SimulationState,
+    s0,
     A,
     p,
     opts: SchemeOptions,
     T: float,
     observers=(),
-) -> SimulationState:
-    """March the state from its current time to T with a fixed step.
+):
+    """March a run, or a batch of runs, from its current time to T with a
+    fixed step; takes step_count(t0, T, dt) steps.
 
-    A batch state (fields of shape (B, N)) takes one diffusivity profile and
-    one ModelParameters per run, as sequences of length B, and marches all B
-    runs in one block-diagonal system; they must share D.  Takes
-    step_count(t0, T, dt) steps.
+    A run is one SimulationState, diffusivity profile and ModelParameters,
+    and returns its final state.  A batch of B runs is B states (one mesh
+    object, one time), B profiles and B parameter sets, as sequences; it
+    marches in one block-diagonal system (the runs must share D) and
+    returns a tuple of B final states, each with its own copy of its fields.
 
     The steps go in blocks of up to K = _BLOCK_BYTES // (24*B*N) (at least
     one): each is written into the next row of one reused (K+1, 3, B*N)
     history array, and once per block a vectorised pass finds the first
     step that broke down (see _Stepper.march).  Then each observer is
     called as ``observer(first_step, times, fields)``: ``fields`` is a
-    read-only (m+1, 3, *state_shape) view of the block whose row j holds
-    (u, v, w) after first_step + j steps, at ``times[j]``.  Row 0 is the
-    state the block started from (the initial state in the first call, the
-    last row of the previous call after that).  The view and ``times`` are
-    valid only during the call; an observer copies what it keeps.  ``run``
-    drops ``s0`` once row 0 holds its fields (unless it takes no step).
+    read-only view of the block, (m+1, 3, N) for one run and (m+1, 3, B, N)
+    for B > 1, whose row j holds (u, v, w) after first_step + j steps, at
+    ``times[j]``.  Row 0 is the state the block started from (the initial
+    states in the first call, the last row of the previous call after
+    that).  The view and ``times`` are valid only during the call; an
+    observer copies what it keeps.  ``run`` drops the states once row 0
+    holds their fields (unless it takes no step).
 
     Instability aborts the run with the failing step index and time, after
-    the observers have seen the rows before that step.  The returned state
-    holds copies of the final fields.
+    the observers have seen the rows before that step.
     """
-    if T < s0.time:
-        raise ValueError(f"final time {T!r} precedes state time {s0.time!r}")
+    lone = isinstance(s0, SimulationState)
+    states = (s0,) if lone else tuple(s0)
+    if not states or any(s.mesh is not states[0].mesh or s.time != states[0].time for s in states):
+        raise ValueError("a batch needs one or more states sharing one mesh object and one time")
+    mesh, t0 = states[0].mesh, states[0].time
+    if T < t0:
+        raise ValueError(f"final time {T!r} precedes state time {t0!r}")
     params = _per_run(p, ModelParameters)
     for k, q in enumerate(params):
         limit = reaction_step_limit(q)
@@ -736,17 +715,17 @@ def run(
                 StabilityWarning,
                 stacklevel=2,
             )
-    mesh, t0, shape = s0.mesh, s0.time, s0.u.shape
+    runs, n = len(states), mesh.n_cells
     A_cells = [project_cell_averages(a, mesh) for a in _per_run(A, DiffusionProfile)]
     n_steps = step_count(t0, T, opts.dt)
-    size = max(1, min(n_steps, _BLOCK_BYTES // (24 * s0.u.size)))
-    history = _history(s0, size + 1)
+    size = max(1, min(n_steps, _BLOCK_BYTES // (24 * runs * n)))
+    history = _history(states, size + 1)
     if n_steps:
-        del s0  # row 0 holds its fields now; the march keeps no second copy
+        del s0, states  # row 0 holds their fields now; the march keeps no second copy
     stepper = _Stepper(history, mesh, A_cells, params, opts)  # it empties A_cells
     if n_steps == 0:
-        return s0
-    fields = history.reshape((size + 1, 3) + shape)
+        return s0 if lone else states
+    fields = history.reshape((size + 1, 3) + ((n,) if runs == 1 else (runs, n)))
     fields.flags.writeable = False
     # Times add dt one step at a time, as a state's time always has.
     increments = np.full(size + 1, opts.dt)
@@ -774,6 +753,8 @@ def run(
             increments[0] = times[m]
             first += m
     del stepper  # releases its buffers before the final fields are copied
-    return SimulationState._trusted(
-        mesh, float(increments[0]), *(f.reshape(shape) for f in history[0].copy())
+    t, last = float(increments[0]), history[0].reshape(3, runs, n)
+    finals = tuple(
+        SimulationState._trusted(mesh, t, *(f.copy() for f in last[:, b])) for b in range(runs)
     )
+    return finals[0] if lone else finals

@@ -377,8 +377,7 @@ class TestWaveSpeedRecorder:
         mesh, opts = cfg.mesh(), SchemeOptions(cfg.dt)
         state = initial_state(cfg.initial, mesh)
         batch, single = WaveSpeedRecorder(mesh, cfg.dt), WaveSpeedRecorder(mesh, cfg.dt)
-        pair = SimulationState.stack([state, state])
-        run(pair, [cfg.profile] * 2, [cfg.params] * 2, opts, 0.05, observers=[batch])
+        run([state, state], [cfg.profile] * 2, [cfg.params] * 2, opts, 0.05, observers=[batch])
         run(state, cfg.profile, cfg.params, opts, 0.05, observers=[single])
         assert batch.front_near_boundary.shape == (2,)
         assert not batch.front_near_boundary.any()

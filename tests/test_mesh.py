@@ -258,11 +258,6 @@ class TestProjectCellAverages:
         assert np.all(a >= alpha0 - 1e-12)
         assert np.all(a <= alpha0 + span + 1e-12)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="SingleJump.cell_averages computes a1*w/w for a cell left of "
-        "the jump, which can round an ulp below a1",
-    )
     def test_jump_averages_bounded(self):
         # 500 cells with 11 distinct linspace widths, the jump inside a cell
         m = build_uniform_mesh(0.0, 2.5, 0.005)

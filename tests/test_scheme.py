@@ -88,9 +88,9 @@ class TestLapackBinding:
         rng = np.random.default_rng(5)
         fields = rng.uniform(0.0, 1.0, (3, 3, mesh.n_cells))
         A_cells = rng.uniform(0.01, 2.0, (3, mesh.n_cells))
-        state = SimulationState(mesh, 0.0, *fields)
+        states = [SimulationState(mesh, 0.0, *fields[:, b]) for b in range(3)]
         stepper = scheme._Stepper(
-            scheme._history(state, 6), mesh, [A_cells], params, SchemeOptions(dt=0.01))
+            scheme._history(states, 6), mesh, [A_cells], params, SchemeOptions(dt=0.01))
         with scheme._Helper(lapack.gttrs) if overlap else contextlib.nullcontext() as helper:
             assert stepper.march(5, 0.01 * np.arange(6), helper) == (5, None)
         system = assemble_implicit_w(A_cells[0], fields[2, 0], SchemeOptions(dt=0.01), mesh)
@@ -167,33 +167,12 @@ class TestSimulationState:
         with pytest.raises(ValueError):
             s.u[0] = 1.0
 
-    def test_batch_fields_must_share_shape(self):
+    def test_rejects_batch_fields(self):
+        # a state is one run: a batch is a sequence of states
         m = build_uniform_mesh(0.0, 1.0, 0.25)
-        with pytest.raises(ValueError):
-            SimulationState(m, 0.0, np.zeros((2, 4)), np.zeros((2, 4)), np.zeros((3, 4)))
-        with pytest.raises(ValueError):
-            SimulationState(m, 0.0, np.zeros((2, 2, 4)), np.zeros((2, 2, 4)), np.zeros((2, 2, 4)))
-
-    def test_stack_and_unstack(self):
-        m = build_uniform_mesh(0.0, 1.0, 0.25)
-        a = SimulationState(m, 0.5, np.zeros(4), np.ones(4), np.full(4, 0.5))
-        b = SimulationState(m, 0.5, np.ones(4), np.zeros(4), np.full(4, 0.25))
-        assert SimulationState.stack([a]) is a
-        assert a.unstack() == (a,)
-        batch = SimulationState.stack([a, b])
-        assert batch.u.shape == (2, 4) and batch.time == 0.5
-        for single, row in zip((a, b), batch.unstack()):
-            for name in ("u", "v", "w"):
-                assert np.array_equal(getattr(row, name), getattr(single, name))
-
-    def test_stack_needs_one_mesh_and_time(self):
-        m = build_uniform_mesh(0.0, 1.0, 0.25)
-        other = build_uniform_mesh(0.0, 1.0, 0.25)
-        s = SimulationState(m, 0.0, np.zeros(4), np.zeros(4), np.zeros(4))
-        with pytest.raises(ValueError):
-            SimulationState.stack([s, SimulationState(other, 0.0, s.u, s.v, s.w)])
-        with pytest.raises(ValueError):
-            SimulationState.stack([s, SimulationState(m, 1.0, s.u, s.v, s.w)])
+        for shape in ((2, 4), (1, 4), (2, 2, 4)):
+            with pytest.raises(ValueError, match="expected \\(4,\\)"):
+                SimulationState(m, 0.0, np.zeros(shape), np.zeros(shape), np.zeros(shape))
 
 
 class TestSolveTridiagonal:
@@ -493,8 +472,8 @@ class TestStepBitForBit:
         fields[0, :, 2] = 1.0
         A_cells = rng.uniform(0.01, 2.0, (runs, n))
         opts = SchemeOptions(dt=0.01)
-        state = SimulationState(mesh, 0.0, *(f[0] if runs == 1 else f for f in fields))
-        stepper = scheme._Stepper(scheme._history(state, 3), mesh, [A_cells], params, opts)
+        states = [SimulationState(mesh, 0.0, *fields[:, b]) for b in range(runs)]
+        stepper = scheme._Stepper(scheme._history(states, 3), mesh, [A_cells], params, opts)
         with scheme._Helper(scheme._LAPACK.gttrs) if overlap else contextlib.nullcontext() as helper:
             assert stepper.march(2, (0.0, 0.01, 0.02), helper) == (2, None)
         first = imex_step(fields.reshape(3, -1), A_cells, params, opts, mesh)
@@ -584,9 +563,11 @@ class TestRun:
         opts = SchemeOptions(dt=0.01)
         out = run(s, Constant(1.0), reference_params(), opts, T=2.0)
         assert out is s
+        out = run([s], [Constant(1.0)], [reference_params()], opts, T=2.0)
+        assert isinstance(out, tuple) and len(out) == 1 and out[0] is s
         # no step is taken, but the arguments are checked as for a run that
         # marches
-        batch = SimulationState.stack([s, s])
+        batch = [s, s]
         p = reference_params()
         other_D = ModelParameters(d=p.d, r=p.r, D=2.0 * p.D, c=p.c)
         profile = Constant(1.0)
@@ -599,7 +580,8 @@ class TestRun:
         ]:
             with pytest.raises(ValueError):
                 run(batch, A, params, opts, T=2.0)
-        assert run(batch, [profile] * 2, [p, p], opts, T=2.0) is batch
+        out = run(batch, [profile] * 2, [p, p], opts, T=2.0)
+        assert isinstance(out, tuple) and len(out) == 2 and out[0] is s and out[1] is s
 
     def test_rejects_past_final_time(self):
         m = build_uniform_mesh(0.0, 1.0, 0.005)
@@ -650,7 +632,7 @@ class TestRun:
     def test_batch_warns_for_each_run_over_the_limit(self):
         m = build_uniform_mesh(0.0, 1.0, 0.05)
         s = SimulationState(m, 0.0, np.ones(20), np.zeros(20), np.zeros(20))
-        batch = SimulationState.stack([s, s, s])
+        batch = [s, s, s]
         fast = ModelParameters(d=200.0, r=1.0, D=4e-5, c=70.0)
         params = [reference_params(), fast, fast]
         with pytest.warns(StabilityWarning) as caught:
@@ -662,15 +644,74 @@ class TestRun:
     def test_batch_arguments_must_match_runs(self):
         m = build_uniform_mesh(0.0, 1.0, 0.05)
         s = SimulationState(m, 0.0, np.ones(20), np.zeros(20), np.zeros(20))
-        batch = SimulationState.stack([s, s])
+        batch = [s, s]
         opts = SchemeOptions(dt=0.01)
         p = reference_params()
         with pytest.raises(ValueError):
             run(batch, [Constant(1.0)] * 2, [p], opts, T=0.01)
         with pytest.raises(ValueError):
             run(batch, [Constant(1.0)], [p, p], opts, T=0.01)
+        # one state, or three, against two of each
+        for states in ([s], s, [s, s, s]):
+            with pytest.raises(ValueError, match="need one parameter set and one diffusivity row each"):
+                run(states, [Constant(1.0)] * 2, [p, p], opts, T=0.01)
         with pytest.raises(ValueError):
             run(batch, [Constant(1.0)] * 2, [p, ModelParameters(d=1.0, r=1.0, D=1e-3, c=1.0)], opts, T=0.01)
+
+    def test_states_share_one_mesh_and_time(self):
+        m = build_uniform_mesh(0.0, 1.0, 0.05)
+        s = SimulationState(m, 0.0, np.ones(20), np.zeros(20), np.zeros(20))
+        twin = build_uniform_mesh(0.0, 1.0, 0.05)  # equal, but another object
+        p, opts = reference_params(), SchemeOptions(dt=0.01)
+        for stranger in (SimulationState(twin, 0.0, s.u, s.v, s.w), SimulationState(m, 0.01, s.u, s.v, s.w)):
+            with pytest.raises(ValueError, match="sharing one mesh object and one time"):
+                run([s, stranger], [Constant(1.0)] * 2, [p, p], opts, T=0.02)
+        with pytest.raises(ValueError, match="one or more states"):
+            run([], [], [], opts, T=0.02)
+
+    def test_a_sequence_of_one_marches_as_the_lone_state(self):
+        # the same bytes, observer field shapes and warning texts; the final
+        # state comes back in a tuple of one
+        m = build_uniform_mesh(0.0, 1.0, 0.05)
+        v0 = np.where(m.centers < 0.6, 1.0, 0.0)  # a front within the boundary margin
+        s = SimulationState(m, 0.0, 1.0 - v0, v0, np.zeros(m.n_cells))
+        opts = SchemeOptions(dt=0.02)  # over the reaction limit 1/70
+
+        def march(states, profiles, params):
+            shapes = []
+            observers = [WaveSpeedRecorder(m, opts.dt), lambda first, times, fields: shapes.append(fields.shape)]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                final = run(states, profiles, params, opts, T=0.1, observers=observers)
+            return final, shapes, [(w.category, str(w.message)) for w in caught]
+
+        lone, lone_shapes, lone_caught = march(s, Constant(1.0), reference_params())
+        (final,), shapes, caught = march([s], [Constant(1.0)], [reference_params()])
+        assert shapes == lone_shapes and all(shape[1:] == (3, m.n_cells) for shape in shapes)
+        assert caught == lone_caught
+        assert {category for category, _ in caught} == {StabilityWarning, FrontProximityWarning}
+        assert final.time == lone.time
+        for name in ("u", "v", "w"):
+            assert getattr(final, name).tobytes() == getattr(lone, name).tobytes(), name
+
+    def test_a_batch_returns_one_frozen_state_per_run(self):
+        m = build_uniform_mesh(0.0, 1.0, 0.05)
+        n = m.n_cells
+        a = SimulationState(m, 0.0, np.ones(n), np.zeros(n), np.zeros(n))
+        b = SimulationState(m, 0.0, np.full(n, 0.5), np.full(n, 0.5), np.zeros(n))
+        profiles, p, opts = [Constant(1.0), SingleJump(0.1, 1.0, 0.5)], reference_params(), SchemeOptions(dt=0.01)
+        finals = run([a, b], profiles, [p, p], opts, T=0.05)
+        assert isinstance(finals, tuple) and len(finals) == 2
+        for state, profile, final in zip((a, b), profiles, finals):
+            alone = run(state, profile, p, opts, T=0.05)
+            assert final.time == alone.time
+            for name in ("u", "v", "w"):
+                field = getattr(final, name)
+                assert field.tobytes() == getattr(alone, name).tobytes(), name
+                assert not field.flags.writeable
+        # a view into a shared buffer would keep every run alive as long as one
+        first, second = ([getattr(f, name) for name in ("u", "v", "w")] for f in finals)
+        assert not any(np.shares_memory(x, y) for x in first for y in second)
 
 
 @st.composite
@@ -1082,10 +1123,10 @@ def batch_cases(draw):
     return states, profiles, params, opts, draw(st.integers(1, 6))
 
 
-def march(state, profile, p, opts, steps):
+def march(mesh, state, profile, p, opts, steps):
     """Run with both recorders; also counts the front-proximity warnings."""
-    speed = WaveSpeedRecorder(state.mesh, opts.dt)
-    low = PositivityRecorder(state)
+    speed = WaveSpeedRecorder(mesh, opts.dt)
+    low = PositivityRecorder()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         final = run(state, profile, p, opts, T=steps * opts.dt, observers=[speed, low])
@@ -1100,23 +1141,23 @@ class TestBatch:
         # zeroed junction couplings make the block-diagonal batch reproduce
         # each run on its own bit for bit
         states, profiles, params, opts, steps = case
-        stacked = SimulationState.stack(states)
+        mesh, runs = states[0].mesh, len(states)
         try:
-            singles = [march(*run_args, opts, steps) for run_args in zip(states, profiles, params)]
+            singles = [march(mesh, *run_args, opts, steps) for run_args in zip(states, profiles, params)]
         except InstabilityError:
             # a batch breaks down when any of its runs does
             with pytest.raises(InstabilityError):
-                march(stacked, profiles, params, opts, steps)
+                march(mesh, states, profiles, params, opts, steps)
             return
-        batch, speed, low, fronts = march(stacked, profiles, params, opts, steps)
-        runs = len(states)
+        batch, speed, low, fronts = march(mesh, states, profiles, params, opts, steps)
+        assert len(batch) == runs
         assert fronts == sum(single[3] for single in singles)
         # a batch has one flag per run, and one column of ranges per run
         near = np.atleast_1d(speed.front_near_boundary)
         minima, maxima = low.minima.reshape(3, -1), low.maxima.reshape(3, -1)
         assert near.shape == (runs,) and minima.shape == maxima.shape == (3, runs)
         for b, (final, single_speed, single_low, _) in enumerate(singles):
-            block = batch.unstack()[b]
+            block = batch[b]
             assert block.time == final.time
             for name in ("u", "v", "w"):
                 assert np.array_equal(getattr(block, name), getattr(final, name)), name
