@@ -46,20 +46,6 @@ byte for byte, to a step built from reaction_u/v/w, the reference
 operator L and the LAPACK routines called one at a time
 (``tests/oracles.py``).
 
-The two solves of a step are independent.  A march of at least
-_OVERLAP_CELLS cells (B*N) hands its acid solve (gttrs) to one helper
-thread (``_Helper``) after the explicit stage, builds and solves the
-tumour system (gtsv) meanwhile, then waits for the helper; ctypes releases
-the GIL inside both calls.  The helper writes only the new row's w and the
-acid INFO slot, and reads only the acid factors and that w; the marching
-thread writes the new row's v, the band and work buffers and the tumour
-INFO slot, and its bands read only the new u.  So no value is read by one
-thread while the other writes it, each solve does what it does when the
-two run in turn, and the numbers cannot change.  The helper lives for the
-``with`` statement around ``run``'s march loop, which joins it, after any
-solve handed over, however the loop ends.  Smaller marches, and
-``step_imex``, make both solves on the marching thread.
-
 ``run`` is the hot loop, and it marches in blocks.  Each step writes its
 fields into the next row of one preallocated (K+1, 3, B*N) history array
 (about _BLOCK_BYTES of memory), reusing it from block to block; row 0 is
@@ -96,11 +82,7 @@ from __future__ import annotations
 
 import ctypes
 import math
-import os
-import queue
-import threading
 import warnings
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -204,22 +186,6 @@ GRID_TOL = 1e-9
 _BLOCK_BYTES = 512 * 1024
 
 
-def _cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call (macOS, Windows)
-        return os.cpu_count() or 1
-
-
-# A march of at least this many cells (B*N) makes its acid solves on the
-# helper thread.  Below it the hand-off costs as much as the solve, and with
-# one CPU the two solves can only take turns; above it the gain depends on a
-# free second CPU, which this gate cannot see (BENCH_28.json, BENCH_30.json,
-# BENCH_31.json).
-_OVERLAP_CELLS = 2000 if _cpus() >= 2 else math.inf
-
-
 @dataclass(frozen=True)
 class SchemeOptions:
     """The time step of a march: positive and finite."""
@@ -237,8 +203,8 @@ class SimulationState:
 
     Each field has shape (N,); a batch of B runs is a sequence of B states
     (see ``run``).  Arrays are validated (shape (N,), all finite) and
-    frozen on construction, so states can be shared across threads and
-    kept as snapshots without defensive copies.
+    frozen on construction, so states can be shared and kept as snapshots
+    without defensive copies.
     """
 
     mesh: Mesh
@@ -450,43 +416,6 @@ def _history(states, rows: int) -> np.ndarray:
     return history
 
 
-class _Helper:
-    """The helper thread of a march (see the module docstring), fed through
-    two FIFO queues: ``start(args)`` queues one dgttrs call, and ``wait()``
-    takes the next result, raising the exception the call raised, if any.
-    Leaving the ``with`` statement queues None behind the solves handed
-    over, so the thread makes them, then ends and is joined."""
-
-    def __init__(self, solve):
-        self._todo, self._done = queue.SimpleQueue(), queue.SimpleQueue()
-        self._thread = threading.Thread(target=self._serve, args=(solve,), daemon=True)
-        self._thread.start()
-
-    def _serve(self, solve):
-        todo, done = self._todo, self._done
-        while (args := todo.get()) is not None:
-            try:
-                solve(*args)
-            except Exception as error:  # raised again by wait, in the marching thread
-                done.put(error)
-            else:
-                done.put(None)
-
-    def start(self, args):
-        self._todo.put(args)
-
-    def wait(self):
-        if (error := self._done.get()) is not None:
-            raise error
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self._todo.put(None)
-        self._thread.join()
-
-
 class _Stepper:
     """A march of runs on ``mesh`` laid end to end, with one parameter set
     and one row of A_cells each: what it holds fixed (the kinetics, the acid
@@ -494,9 +423,11 @@ class _Stepper:
     whose row 0 (see ``_history``) is the only copy of the fields it starts from.
     It empties the list ``A_cells`` into the one copy of A that it factors.
 
-    The arguments of both LAPACK solves are built once per history row: the
-    tumour bands, or the acid factors, then the row's v, or w, as the
-    right-hand side, and the row's two slots of ``_info`` for INFO."""
+    A step makes its two solves one after the other: the acid solve
+    (gttrs) right after the explicit stage, then the tumour bands and their
+    solve (gtsv).  The arguments of both are built once per history
+    row: the tumour bands, or the acid factors, then the row's v, or w, as
+    the right-hand side, and the row's two slots of ``_info`` for INFO."""
 
     def __init__(self, history: np.ndarray, mesh: Mesh, A_cells: list, params, opts: SchemeOptions):
         block, runs = mesh.n_cells, history.shape[-1] // mesh.n_cells
@@ -542,10 +473,9 @@ class _Stepper:
             info_v, info_w = at(info + 2 * j * slot), at(info + (2 * j + 1) * slot)
             self._solves.append(((*tumour, v, size, info_v), (*acid, w, size, info_w, _TRANS_LENGTH)))
 
-    def march(self, m: int, times, helper=None):
+    def march(self, m: int, times):
         """Step row 0 of the history m times into rows 1..m; ``times`` holds
-        the time of each row.  The acid solves go to ``helper``, a running
-        ``_Helper``, if one is given.
+        the time of each row.
 
         Nothing is checked while stepping: each LAPACK solve writes its INFO
         into its row's slot.  Afterwards one pass over the block finds the
@@ -557,10 +487,10 @@ class _Stepper:
         reports the breakdown.
         """
         with np.errstate(all="ignore"):
-            self._step(m, helper)
+            self._step(m)
             return self._check(m, times)
 
-    def _step(self, m, helper):
+    def _step(self, m):
         dt, rates, c, rows, solves = self._dt, self._rates, self._c, self._rows, self._solves
         interface, bands = self._tumour.kappa, self._tumour.bands
         gtsv, gttrs = _LAPACK.gtsv, _LAPACK.gttrs
@@ -587,15 +517,10 @@ class _Stepper:
             # Both solves overwrite their right-hand side, the row's v or w,
             # with the solution, and write their own INFO slot.
             tumour, acid = solves[j]
-            if helper is None:
-                gttrs(*acid)
-            else:
-                helper.start(acid)
+            gttrs(*acid)
             np.subtract(1.0, u_new, out=cells)
             bands(interface(cells, kappa))
             gtsv(*tumour)
-            if helper is not None:
-                helper.wait()
 
     def _check(self, m: int, times):
         history, info = self.history, self._info[1 : m + 1]
@@ -632,13 +557,14 @@ def step_imex(
     opts: SchemeOptions,
 ) -> SimulationState:
     """Advance one run by one IMEX step of size opts.dt: the march of
-    ``run`` with a block of one step, both solves on the calling thread.
+    ``run`` with a block of one step.  The new state owns one copy of its
+    fields, not views of the stepper's two-row history.
     """
     stepper = _Stepper(_history((s,), 2), s.mesh, [A_cells], (p,), opts)
     _, reason = stepper.march(1, (s.time,))
     if reason is not None:
         raise InstabilityError(reason, time=s.time)
-    return SimulationState._trusted(s.mesh, s.time + opts.dt, *stepper.history[1])
+    return SimulationState._trusted(s.mesh, s.time + opts.dt, *stepper.history[1].copy())
 
 
 def reaction_step_limit(p: ModelParameters) -> float:
@@ -693,6 +619,7 @@ def run(
     observer copies what it keeps.  ``run`` drops the states once row 0
     holds their fields (unless it takes no step).
 
+    The march makes every solve on the calling thread and starts no other.
     Instability aborts the run with the failing step index and time, after
     the observers have seen the rows before that step.
     """
@@ -734,24 +661,21 @@ def run(
     shown = times.view()
     shown.flags.writeable = False
     first = 0
-    # The with joins the helper however the loop ends (a breakdown, an
-    # observer that raises, an interrupt), so it writes no row after the loop.
-    with _Helper(_LAPACK.gttrs) if history.shape[-1] >= _OVERLAP_CELLS else nullcontext() as helper:
-        while first < n_steps:
-            m = min(size, n_steps - first)
-            np.add.accumulate(increments[: m + 1], out=times[: m + 1])
-            good, reason = stepper.march(m, times, helper)
-            if good:
-                for observer in observers:
-                    observer(first, shown[: good + 1], fields[: good + 1])
-            if reason is not None:
-                step, t = first + good, float(times[good])
-                raise InstabilityError(
-                    f"run became unstable at step {step} (t={t!r}): {reason}", step=step, time=t
-                )
-            history[0] = history[m]
-            increments[0] = times[m]
-            first += m
+    while first < n_steps:
+        m = min(size, n_steps - first)
+        np.add.accumulate(increments[: m + 1], out=times[: m + 1])
+        good, reason = stepper.march(m, times)
+        if good:
+            for observer in observers:
+                observer(first, shown[: good + 1], fields[: good + 1])
+        if reason is not None:
+            step, t = first + good, float(times[good])
+            raise InstabilityError(
+                f"run became unstable at step {step} (t={t!r}): {reason}", step=step, time=t
+            )
+        history[0] = history[m]
+        increments[0] = times[m]
+        first += m
     del stepper  # releases its buffers before the final fields are copied
     t, last = float(increments[0]), history[0].reshape(3, runs, n)
     finals = tuple(

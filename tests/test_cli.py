@@ -515,6 +515,16 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == f"{scheme._numpy_openblas() is None}\n"
 
+    def test_import_loads_no_queue_module(self):
+        # a march makes both solves on its own thread, so nothing needs a
+        # queue's hand-off; numpy loads threading itself, so only queue tells
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, acidfront.cli; print('queue' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
     @pytest.mark.skipif(scheme._numpy_openblas() is None, reason="numpy bundles no OpenBLAS")
     def test_import_and_simulate_load_no_scipy_module(self, tmp_path):
         # the LAPACK routines come from the OpenBLAS numpy has loaded; scipy's

@@ -1,5 +1,3 @@
-import contextlib
-import ctypes
 import dataclasses
 import math
 import sys
@@ -78,10 +76,9 @@ class TestLapackBinding:
     numpy ships one, and from scipy's Cython LAPACK where it does not."""
 
     @staticmethod
-    def march(lapack, monkeypatch, overlap=False):
+    def march(lapack, monkeypatch):
         """Five steps of a three-run batch and a one-off solve, with the
-        routines of ``lapack``; with ``overlap``, the acid solves on a helper
-        thread."""
+        routines of ``lapack``."""
         monkeypatch.setattr(scheme, "_LAPACK", lapack)
         mesh = TestBackwardEulerBuilder.MESHES["rounded"]
         params = TestStepBitForBit.PARAMS
@@ -91,18 +88,16 @@ class TestLapackBinding:
         states = [SimulationState(mesh, 0.0, *fields[:, b]) for b in range(3)]
         stepper = scheme._Stepper(
             scheme._history(states, 6), mesh, [A_cells], params, SchemeOptions(dt=0.01))
-        with scheme._Helper(lapack.gttrs) if overlap else contextlib.nullcontext() as helper:
-            assert stepper.march(5, 0.01 * np.arange(6), helper) == (5, None)
+        assert stepper.march(5, 0.01 * np.arange(6)) == (5, None)
         system = assemble_implicit_w(A_cells[0], fields[2, 0], SchemeOptions(dt=0.01), mesh)
         return stepper.history.tobytes() + solve_tridiagonal(system).tobytes()
 
-    @pytest.mark.parametrize("overlap", [False, True], ids=["serial", "overlap"])
-    def test_capsule_fallback_marches_like_the_default(self, monkeypatch, overlap):
+    def test_capsule_fallback_marches_like_the_default(self, monkeypatch):
         # a finder that returns nothing stands for a numpy with no bundled OpenBLAS
         fallback = scheme._bind(lambda: None)
         assert fallback.index == np.int32
         default = self.march(scheme._LAPACK, monkeypatch)
-        assert self.march(fallback, monkeypatch, overlap) == default
+        assert self.march(fallback, monkeypatch) == default
 
     def test_no_library_is_an_import_error(self, monkeypatch):
         monkeypatch.setitem(sys.modules, "scipy.linalg.cython_lapack", None)
@@ -456,11 +451,9 @@ class TestStepBitForBit:
         ModelParameters(d=30.0, r=0.7, D=4e-3, c=3.0),
     )
 
-    @pytest.mark.parametrize("overlap", [False, True], ids=["serial", "overlap"])
     @pytest.mark.parametrize("runs", [1, 3])
     @pytest.mark.parametrize("kind", ["uniform", "rounded"])
-    def test_two_steps_equal_reference(self, kind, runs, overlap):
-        # the acid solve on the helper thread gives the same bytes
+    def test_two_steps_equal_reference(self, kind, runs):
         mesh = TestBackwardEulerBuilder.MESHES[kind]
         n, params = mesh.n_cells, self.PARAMS[:runs]
         rng = np.random.default_rng(31)
@@ -474,8 +467,7 @@ class TestStepBitForBit:
         opts = SchemeOptions(dt=0.01)
         states = [SimulationState(mesh, 0.0, *fields[:, b]) for b in range(runs)]
         stepper = scheme._Stepper(scheme._history(states, 3), mesh, [A_cells], params, opts)
-        with scheme._Helper(scheme._LAPACK.gttrs) if overlap else contextlib.nullcontext() as helper:
-            assert stepper.march(2, (0.0, 0.01, 0.02), helper) == (2, None)
+        assert stepper.march(2, (0.0, 0.01, 0.02)) == (2, None)
         first = imex_step(fields.reshape(3, -1), A_cells, params, opts, mesh)
         second = imex_step(first, A_cells, params, opts, mesh)
         assert stepper.history[1:3].tobytes() == np.array([first, second]).tobytes()
@@ -553,6 +545,20 @@ class TestStepImex:
             step_imex(s, np.ones(n), p, SchemeOptions(dt=2.5))
         assert excinfo.value.time == s.time
         assert excinfo.value.step is None
+
+    def test_stepped_fields_own_their_bytes(self):
+        # a row view of the stepper's (2, 3, N) history would keep 6 N
+        # floats alive for the 3 N of the state's fields
+        m = build_uniform_mesh(0.0, 1.0, 0.005)
+        n = m.n_cells
+        v0 = np.where(m.centers < 0.25, 1.0, 0.0)
+        s = SimulationState(m, 0.0, 1.0 - v0, v0, np.zeros(n))
+        stepped = step_imex(s, np.ones(n), reference_params(), SchemeOptions(dt=0.01))
+        for name in ("u", "v", "w"):
+            field = getattr(stepped, name)
+            owner = field if field.base is None else field.base
+            assert owner.size <= 3 * n, (name, owner.shape)
+            assert not field.flags.writeable
 
 
 class TestRun:
@@ -713,6 +719,25 @@ class TestRun:
         first, second = ([getattr(f, name) for name in ("u", "v", "w")] for f in finals)
         assert not any(np.shares_memory(x, y) for x in first for y in second)
 
+    def test_a_march_starts_no_thread(self):
+        # both solves of every step run on the calling thread, at sizes
+        # whose acid solves once went to a helper thread
+        p, opts = reference_params(), SchemeOptions(dt=0.01)
+        before, seen = threading.active_count(), []
+
+        def observe(first, times, fields):
+            seen.append(threading.active_count())
+
+        for n in (2000, 4000):
+            m = build_uniform_mesh(0.0, 1.0, 1.0 / n)
+            v0 = np.where(m.centers < 0.25, 1.0, 0.0)
+            s0 = SimulationState(m, 0.0, 1.0 - v0, v0, np.zeros(n))
+            for runs in ((s0, Constant(1.0), p), ([s0, s0], [Constant(1.0)] * 2, [p, p])):
+                seen.clear()
+                run(*runs, opts, T=0.03, observers=[observe])
+                assert seen and seen == [before] * len(seen), (n, seen)
+                assert threading.active_count() == before
+
 
 @st.composite
 def meshes(draw):
@@ -836,7 +861,6 @@ class TestBlocks:
             assert np.array_equal(fields, np.stack([state.u, state.v, state.w]))
 
     @pytest.mark.filterwarnings("ignore::acidfront.errors.StabilityWarning")
-    @pytest.mark.parametrize("overlap", [False, True], ids=["serial", "overlap"])
     @pytest.mark.parametrize("per_block", [1, 2, 3, 4, 5, 8])
     @pytest.mark.parametrize(
         "kind, u0, v0, p, dt",
@@ -848,7 +872,7 @@ class TestBlocks:
             ("non-finite field values", 0.0, 0.5, raw_params(d=1.0, r=1000.0, D=1e-3, c=1.0), 1.0),
         ],
     )
-    def test_breakdown_reported_at_its_step(self, monkeypatch, per_block, kind, u0, v0, p, dt, overlap):
+    def test_breakdown_reported_at_its_step(self, monkeypatch, per_block, kind, u0, v0, p, dt):
         m = build_uniform_mesh(0.0, 1.0, 0.05)
         n = m.n_cells
         s0 = SimulationState(m, 0.0, np.full(n, u0), np.full(n, v0), np.zeros(n))
@@ -866,9 +890,6 @@ class TestBlocks:
                 overshoot += 1
             assert steps == overshoot
         monkeypatch.setattr(scheme, "_BLOCK_BYTES", block_size(per_block, s0))
-        # the single steps above were serial; with the overlap on, the acid
-        # solves of the blocked run go to the helper thread
-        monkeypatch.setattr(scheme, "_OVERLAP_CELLS", 0 if overlap else math.inf)
         kept = {}
         with pytest.raises(InstabilityError) as blocked:
             run(s0, Constant(1.0), p, opts, T=20 * dt, observers=[keep_rows(kept)])
@@ -913,166 +934,6 @@ class TestBlocks:
         kept_u = final.u.copy()
         run(final, Constant(1.0), p, opts, T=0.2)
         assert np.array_equal(final.u, kept_u)
-
-
-class TestHelperThread:
-    """A march of at least _OVERLAP_CELLS cells makes its acid solves on one
-    helper thread, which ``run`` starts for its march loop and joins however
-    the loop ends; ``step_imex`` starts none."""
-
-    @staticmethod
-    def threads(monkeypatch, overlap, march):
-        """Threads beyond those alive before ``march(observer)`` runs: as the
-        observer sees them at each block, and once the march has returned or
-        raised."""
-        monkeypatch.setattr(scheme, "_OVERLAP_CELLS", overlap)
-        before, seen = threading.active_count(), []
-
-        def observe(first, times, fields):
-            seen.append(threading.active_count() - before)
-
-        try:
-            march(observe)
-        except (InstabilityError, RuntimeError):
-            pass
-        return seen, threading.active_count() - before
-
-    @staticmethod
-    def state(n, u0=None):
-        """A tumour edge at x = 0.25 in intact tissue, or, given ``u0``,
-        healthy tissue of that density alone."""
-        m = build_uniform_mesh(0.0, 1.0, 1.0 / n)
-        if u0 is not None:
-            return SimulationState(m, 0.0, np.full(n, u0), np.zeros(n), np.zeros(n))
-        v0 = np.where(m.centers < 0.25, 1.0, 0.0)
-        return SimulationState(m, 0.0, 1.0 - v0, v0, np.zeros(n))
-
-    @pytest.mark.filterwarnings("ignore::acidfront.errors.StabilityWarning")
-    def test_run_leaves_no_thread(self, monkeypatch):
-        s0, p, opts = self.state(20), reference_params(), SchemeOptions(dt=0.01)
-        monkeypatch.setattr(scheme, "_BLOCK_BYTES", block_size(2, s0))
-
-        def normal(observe):
-            run(s0, Constant(1.0), p, opts, T=0.1, observers=[observe])
-
-        def instability(observe):
-            # the healthy logistic u + dt*u*(1 - u) overshoots 1 on the fifth step
-            s = self.state(20, u0=0.01)
-            run(s, Constant(1.0), raw_params(d=1.0, r=1.0, D=1e-3, c=1.0), SchemeOptions(dt=2.5), T=50.0,
-                observers=[observe])
-
-        def observer_raises(observe):
-            def observe_then_raise(first, times, fields):
-                observe(first, times, fields)
-                if first > 0:
-                    raise RuntimeError("observer failed")
-
-            normal(observe_then_raise)
-
-        def zero_steps(observe):
-            run(s0, Constant(1.0), p, opts, T=0.0, observers=[observe])
-
-        # blocks of two steps: the helper is alive at each block the
-        # observers see, and joined once the run returns or raises
-        for march, blocks in ((normal, 5), (instability, 2), (observer_raises, 2), (zero_steps, 0)):
-            assert self.threads(monkeypatch, 0, march) == ([1] * blocks, 0), march.__name__
-
-    def test_step_imex_leaves_no_thread(self, monkeypatch):
-        s, p = self.state(20, u0=0.5), raw_params(d=1.0, r=1.0, D=1e-3, c=1.0)
-        for dt in (0.01, 2.5):  # a good step, then one that breaks down
-            march = lambda _: step_imex(s, np.ones(20), p, SchemeOptions(dt=dt))  # noqa: E731
-            assert self.threads(monkeypatch, 0, march) == ([], 0)
-
-    def test_step_imex_and_a_zero_step_run_build_no_helper(self, monkeypatch):
-        class Refused:
-            def __init__(self, solve):
-                raise AssertionError("a helper thread was started")
-
-        monkeypatch.setattr(scheme, "_OVERLAP_CELLS", 2000)
-        monkeypatch.setattr(scheme, "_Helper", Refused)
-        s0, p, opts = self.state(2000), reference_params(), SchemeOptions(dt=0.01)
-        stepped = step_imex(s0, np.ones(2000), p, opts)
-        assert stepped.time == 0.01
-        assert run(s0, Constant(1.0), p, opts, T=0.0) is s0
-
-    @pytest.mark.parametrize("steps", [1, 5])
-    def test_a_march_builds_one_helper(self, monkeypatch, steps):
-        # blocks of two steps: the march loop's one helper serves every block
-        built = []
-
-        class Counted(scheme._Helper):
-            def __init__(self, solve):
-                built.append(self)
-                super().__init__(solve)
-
-        monkeypatch.setattr(scheme, "_OVERLAP_CELLS", 2000)
-        monkeypatch.setattr(scheme, "_Helper", Counted)
-        s0 = self.state(2000)
-        monkeypatch.setattr(scheme, "_BLOCK_BYTES", block_size(2, s0))
-        run(s0, Constant(1.0), reference_params(), SchemeOptions(dt=0.01), T=steps * 0.01)
-        assert len(built) == 1
-        assert not built[0]._thread.is_alive()
-
-    def test_close_right_after_a_handover(self):
-        # as when a march raises between handing a solve over and waiting
-        # for it: the solve handed over is made before the thread ends, so
-        # nothing writes into the history once the with statement is left
-        calls = []
-        with scheme._Helper(lambda *args: calls.append(args)) as helper:
-            helper.start((1,))
-            helper.wait()
-            helper.start((2,))
-        assert not helper._thread.is_alive()
-        assert calls == [(1,), (2,)]
-
-    def test_a_failed_solve_is_raised_by_wait(self):
-        def solve(*args):
-            raise ctypes.ArgumentError("argument 1: wrong type")
-
-        with scheme._Helper(solve) as helper:
-            helper.start((1,))
-            with pytest.raises(ctypes.ArgumentError, match="wrong type"):
-                helper.wait()
-        assert not helper._thread.is_alive()
-
-    def test_a_failed_solve_does_not_fail_the_next(self):
-        def solve(ok):
-            if not ok:
-                raise ctypes.ArgumentError("argument 1: wrong type")
-
-        with scheme._Helper(solve) as helper:
-            helper.start((False,))
-            with pytest.raises(ctypes.ArgumentError):
-                helper.wait()
-            helper.start((True,))
-            helper.wait()
-        assert not helper._thread.is_alive()
-
-    def test_fast_thread_switching_keeps_the_bytes(self, monkeypatch):
-        # the interpreter offers the GIL to the other thread every
-        # microsecond: a solve that ran out of turn would change a byte
-        s0, p, opts = self.state(2000), reference_params(), SchemeOptions(dt=0.01)
-        monkeypatch.setattr(scheme, "_OVERLAP_CELLS", math.inf)
-        serial = run(s0, Constant(1.0), p, opts, T=0.5)
-        monkeypatch.setattr(scheme, "_OVERLAP_CELLS", 0)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            overlapped = run(s0, Constant(1.0), p, opts, T=0.5)
-        finally:
-            sys.setswitchinterval(interval)
-        for name in ("u", "v", "w"):
-            assert getattr(overlapped, name).tobytes() == getattr(serial, name).tobytes(), name
-
-    def test_one_cpu_value_starts_no_thread(self, monkeypatch):
-        s0 = self.state(2000)
-
-        def march(observe):
-            run(s0, Constant(1.0), reference_params(), SchemeOptions(dt=0.01), T=0.03, observers=[observe])
-
-        assert self.threads(monkeypatch, math.inf, march) == ([0], 0)
-        # the same march at the size the overlap starts at
-        assert self.threads(monkeypatch, 2000, march) == ([1], 0)
 
 
 class TestReactionLimit:

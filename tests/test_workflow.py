@@ -1,5 +1,5 @@
-"""The CI jobs that run chosen tests (``windows-lapack``, ``macos-fallback``
-and the tier-1 job's repeated helper-thread step) name them by node id in
+"""The CI jobs that run chosen tests (``windows-lapack`` and
+``macos-fallback``) name them by node id in
 ``.github/workflows/tests.yml``.  A renamed or deleted test would leave a
 job with an id that selects nothing, so each id must resolve here: its
 module, its class and, where one is named, its test function.  The
