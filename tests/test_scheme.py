@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import ctypes
 import dataclasses
 import math
 import sys
@@ -76,11 +79,11 @@ class TestLapackBinding:
     numpy ships one, and from scipy's Cython LAPACK where it does not."""
 
     @staticmethod
-    def march(lapack, monkeypatch):
-        """Five steps of a three-run batch and a one-off solve, with the
-        routines of ``lapack``."""
+    def march(lapack, monkeypatch, kind="rounded"):
+        """Five steps of a three-run batch and a one-off solve on the mesh
+        ``kind`` of TestStepBitForBit, with the routines of ``lapack``."""
         monkeypatch.setattr(scheme, "_LAPACK", lapack)
-        mesh = TestBackwardEulerBuilder.MESHES["rounded"]
+        mesh = TestStepBitForBit.MESHES[kind]
         params = TestStepBitForBit.PARAMS
         rng = np.random.default_rng(5)
         fields = rng.uniform(0.0, 1.0, (3, 3, mesh.n_cells))
@@ -98,6 +101,15 @@ class TestLapackBinding:
         assert fallback.index == np.int32
         default = self.march(scheme._LAPACK, monkeypatch)
         assert self.march(fallback, monkeypatch) == default
+
+    def test_capsule_fallback_marches_like_the_default_on_a_fine_mesh(self):
+        # three runs of 4 000 cells: LP64 sizes and pointers over a block
+        # of 12 000 cells
+        fallback = scheme._bind(lambda: None)
+        with pytest.MonkeyPatch.context() as mp:
+            default = self.march(scheme._LAPACK, mp, "fine rounded")
+        with pytest.MonkeyPatch.context() as mp:
+            assert self.march(fallback, mp, "fine rounded") == default
 
     def test_no_library_is_an_import_error(self, monkeypatch):
         monkeypatch.setitem(sys.modules, "scipy.linalg.cython_lapack", None)
@@ -450,11 +462,18 @@ class TestStepBitForBit:
         ModelParameters(d=0.5, r=2.0, D=4e-3, c=10.0),
         ModelParameters(d=30.0, r=0.7, D=4e-3, c=3.0),
     )
+    MESHES = {
+        **TestBackwardEulerBuilder.MESHES,
+        # the sizes of the fine-mesh workload: 4 096 cells of one width, a
+        # power of 2, and 4 000 of linspace widths
+        "fine uniform": build_uniform_mesh(0.0, 1.0, 1.0 / 4096),
+        "fine rounded": build_uniform_mesh(0.0, 20.0, 0.005),
+    }
 
     @pytest.mark.parametrize("runs", [1, 3])
-    @pytest.mark.parametrize("kind", ["uniform", "rounded"])
+    @pytest.mark.parametrize("kind", ["uniform", "rounded", "fine uniform", "fine rounded"])
     def test_two_steps_equal_reference(self, kind, runs):
-        mesh = TestBackwardEulerBuilder.MESHES[kind]
+        mesh = self.MESHES[kind]
         n, params = mesh.n_cells, self.PARAMS[:runs]
         rng = np.random.default_rng(31)
         fields = rng.uniform(0.0, 1.0, (3, runs, n))
@@ -559,6 +578,18 @@ class TestStepImex:
             owner = field if field.base is None else field.base
             assert owner.size <= 3 * n, (name, owner.shape)
             assert not field.flags.writeable
+
+    @pytest.mark.parametrize("dt", [0.01, 2.5], ids=["good", "breakdown"])
+    def test_a_step_starts_no_thread(self, dt):
+        # at dt = 2.5 the healthy logistic overshoots 1 in one step
+        m = build_uniform_mesh(0.0, 1.0, 1.0 / 2000)
+        n = m.n_cells
+        s = SimulationState(m, 0.0, np.full(n, 0.5), np.zeros(n), np.zeros(n))
+        p = raw_params(d=1.0, r=1.0, D=1e-3, c=1.0)
+        before = threading.active_count()
+        with pytest.raises(InstabilityError) if dt == 2.5 else contextlib.nullcontext():
+            step_imex(s, np.ones(n), p, SchemeOptions(dt=dt))
+        assert threading.active_count() == before
 
 
 class TestRun:
@@ -719,6 +750,49 @@ class TestRun:
         first, second = ([getattr(f, name) for name in ("u", "v", "w")] for f in finals)
         assert not any(np.shares_memory(x, y) for x in first for y in second)
 
+    @staticmethod
+    def raising_on_the_third_call(routine):
+        calls = []
+
+        def call(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise ctypes.ArgumentError("argument 1: wrong type")
+            routine(*args)
+
+        return call
+
+    def test_an_error_in_a_solve_leaves_run(self, monkeypatch):
+        # the third acid solve raises: the run raises that error, once its
+        # observers have seen the first block of two steps, and no other
+        s0, p, opts = tumour_edge(20), reference_params(), SchemeOptions(dt=0.01)
+        states = [s0]
+        for _ in range(2):
+            states.append(step_imex(states[-1], np.ones(20), p, opts))
+        monkeypatch.setattr(scheme, "_LAPACK", lapack_with("gttrs", self.raising_on_the_third_call))
+        monkeypatch.setattr(scheme, "_BLOCK_BYTES", block_size(2, s0))
+        kept = {}
+        with pytest.raises(ctypes.ArgumentError, match="wrong type"):
+            run(s0, Constant(1.0), p, opts, T=0.1, observers=[keep_rows(kept)])
+        assert sorted(kept) == [0, 1, 2]
+        for step, state in enumerate(states):
+            assert np.array_equal(kept[step][1], np.stack([state.u, state.v, state.w]))
+
+    def test_a_failed_solve_does_not_fail_the_next_run(self, monkeypatch):
+        s0, p, opts = tumour_edge(20), reference_params(), SchemeOptions(dt=0.01)
+        kept_fields = [f.copy() for f in (s0.u, s0.v, s0.w)]
+        expected = run(s0, Constant(1.0), p, opts, T=0.1)
+        with monkeypatch.context() as mp:
+            mp.setattr(scheme, "_LAPACK", lapack_with("gttrs", self.raising_on_the_third_call))
+            with pytest.raises(ctypes.ArgumentError):
+                run(s0, Constant(1.0), p, opts, T=0.1)
+        for field, kept in zip((s0.u, s0.v, s0.w), kept_fields):
+            assert field.tobytes() == kept.tobytes()
+        again = run(s0, Constant(1.0), p, opts, T=0.1)
+        assert again.time == expected.time
+        for name in ("u", "v", "w"):
+            assert getattr(again, name).tobytes() == getattr(expected, name).tobytes(), name
+
     def test_a_march_starts_no_thread(self):
         # both solves of every step run on the calling thread, at sizes
         # whose acid solves once went to a helper thread
@@ -729,9 +803,7 @@ class TestRun:
             seen.append(threading.active_count())
 
         for n in (2000, 4000):
-            m = build_uniform_mesh(0.0, 1.0, 1.0 / n)
-            v0 = np.where(m.centers < 0.25, 1.0, 0.0)
-            s0 = SimulationState(m, 0.0, 1.0 - v0, v0, np.zeros(n))
+            s0 = tumour_edge(n)
             for runs in ((s0, Constant(1.0), p), ([s0, s0], [Constant(1.0)] * 2, [p, p])):
                 seen.clear()
                 run(*runs, opts, T=0.03, observers=[observe])
@@ -810,6 +882,21 @@ def block_size(steps: int, state: SimulationState) -> int:
     return 24 * state.u.size * steps
 
 
+def tumour_edge(n: int) -> SimulationState:
+    """A tumour edge at x = 0.25 in intact tissue, on ``n`` cells of [0, 1]."""
+    m = build_uniform_mesh(0.0, 1.0, 1.0 / n)
+    v0 = np.where(m.centers < 0.25, 1.0, 0.0)
+    return SimulationState(m, 0.0, 1.0 - v0, v0, np.zeros(n))
+
+
+def lapack_with(solve: str, replace):
+    """The bound LAPACK with its routine ``solve`` ("gtsv" or "gttrs")
+    replaced by ``replace(routine)``."""
+    lapack = copy.copy(scheme._LAPACK)
+    setattr(lapack, solve, replace(getattr(lapack, solve)))
+    return lapack
+
+
 def keep_rows(kept):
     """Observer keeping a copy of every row it is shown, by step index."""
 
@@ -860,9 +947,7 @@ class TestBlocks:
             assert time == state.time
             assert np.array_equal(fields, np.stack([state.u, state.v, state.w]))
 
-    @pytest.mark.filterwarnings("ignore::acidfront.errors.StabilityWarning")
-    @pytest.mark.parametrize("per_block", [1, 2, 3, 4, 5, 8])
-    @pytest.mark.parametrize(
+    BREAKDOWNS = pytest.mark.parametrize(
         "kind, u0, v0, p, dt",
         [
             # the healthy logistic u + dt*u*(1 - u) overshoots 1 after a few steps
@@ -872,9 +957,26 @@ class TestBlocks:
             ("non-finite field values", 0.0, 0.5, raw_params(d=1.0, r=1000.0, D=1e-3, c=1.0), 1.0),
         ],
     )
+
+    @pytest.mark.filterwarnings("ignore::acidfront.errors.StabilityWarning")
+    @pytest.mark.parametrize("per_block", [1, 2, 3, 4, 5, 8])
+    @BREAKDOWNS
     def test_breakdown_reported_at_its_step(self, monkeypatch, per_block, kind, u0, v0, p, dt):
-        m = build_uniform_mesh(0.0, 1.0, 0.05)
-        n = m.n_cells
+        self.breakdown_at_its_step(monkeypatch, 20, per_block, kind, u0, v0, p, dt)
+
+    @pytest.mark.filterwarnings("ignore::acidfront.errors.StabilityWarning")
+    @pytest.mark.parametrize("per_block", [1, 2, 3, 4, 5, 8])
+    @BREAKDOWNS
+    def test_breakdown_reported_at_its_step_on_a_fine_mesh(self, monkeypatch, per_block, kind, u0, v0, p, dt):
+        # 2 000 cells, the size the fine-mesh workload's solves start at
+        self.breakdown_at_its_step(monkeypatch, 2000, per_block, kind, u0, v0, p, dt)
+
+    @staticmethod
+    def breakdown_at_its_step(monkeypatch, n, per_block, kind, u0, v0, p, dt):
+        """A run of ``n`` cells of uniform fields, in blocks of ``per_block``
+        steps, breaks down for ``kind`` at the step and time of a step_imex
+        loop, after its observers have seen every state before it."""
+        m = build_uniform_mesh(0.0, 1.0, 1.0 / n)
         s0 = SimulationState(m, 0.0, np.full(n, u0), np.full(n, v0), np.zeros(n))
         opts = SchemeOptions(dt=dt)
         states = [s0]
@@ -897,6 +999,49 @@ class TestBlocks:
         assert (blocked.value.step, blocked.value.time) == (steps, time)
         assert str(blocked.value) == f"run became unstable at step {steps} (t={time!r}): {single.value}"
         assert sorted(kept) == list(range(steps + 1))
+        for step, state in enumerate(states):
+            assert np.array_equal(kept[step][1], np.stack([state.u, state.v, state.w]))
+
+    @pytest.mark.parametrize("per_block", [1, 3])
+    @pytest.mark.parametrize(
+        "solve, reason",
+        [
+            ("gtsv", "singular tridiagonal system (LAPACK gtsv info=7)"),
+            ("gttrs", "acid solve failed (LAPACK gttrs info=7)"),
+        ],
+    )
+    def test_solve_failure_reported_at_its_step(self, monkeypatch, per_block, solve, reason):
+        # the routine solves, and on its fifth call also writes INFO = 7 into
+        # its step's slot: the run stops after four good steps with that
+        # solve's reason, after its observers have seen those four steps
+        s0, p, opts = tumour_edge(20), reference_params(), SchemeOptions(dt=0.01)
+        states = [s0]
+        for _ in range(4):
+            states.append(step_imex(states[-1], np.ones(20), p, opts))
+        integer = ctypes.POINTER(scheme._LAPACK.integer)
+
+        def failing_on_the_fifth_call(routine):
+            calls = []
+
+            def call(*args):
+                routine(*args)
+                calls.append(None)
+                if len(calls) == 5:
+                    # INFO is gtsv's last argument; gttrs's hidden length follows it
+                    info = args[-1] if solve == "gtsv" else args[-2]
+                    ctypes.cast(info, integer).contents.value = 7
+
+            return call
+
+        monkeypatch.setattr(scheme, "_LAPACK", lapack_with(solve, failing_on_the_fifth_call))
+        monkeypatch.setattr(scheme, "_BLOCK_BYTES", block_size(per_block, s0))
+        kept = {}
+        with pytest.raises(InstabilityError) as blocked:
+            run(s0, Constant(1.0), p, opts, T=0.1, observers=[keep_rows(kept)])
+        time = states[4].time
+        assert (blocked.value.step, blocked.value.time) == (4, time)
+        assert str(blocked.value) == f"run became unstable at step 4 (t={time!r}): {reason}"
+        assert sorted(kept) == list(range(5))
         for step, state in enumerate(states):
             assert np.array_equal(kept[step][1], np.stack([state.u, state.v, state.w]))
 
